@@ -18,6 +18,7 @@ byte-identical.  Exit codes: 0 on success, 2 for configuration errors,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -140,7 +141,10 @@ def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected RE,IM, got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    value = complex(float(parts[0]), float(parts[1]))
+    if not cmath.isfinite(value):
+        raise ValueError(f"amplitude must be finite, got {text!r}")
+    return value
 
 
 def parse_coefficients(args: argparse.Namespace) -> ResourceCoefficients:
@@ -160,6 +164,8 @@ def parse_coefficients(args: argparse.Namespace) -> ResourceCoefficients:
             values = [float(v) for v in body.split(",")]
         except ValueError:
             raise ConfigError(f"bad inline coefficient list {body!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"inline coefficients must be finite, got {body!r}")
         if len(values) < 2:
             raise ConfigError("inline coefficients need at least two entries")
         if args.n is not None and args.n + 1 != len(values):
@@ -253,6 +259,10 @@ def cmd_teleport(args: argparse.Namespace) -> str:
             raise ConfigError(
                 f"--oracle supports n <= {args.oracle_limit} (requested n={n}); "
                 "raise --oracle-limit to go bigger"
+            )
+        if not (math.isfinite(args.oracle_tol) and args.oracle_tol >= 0):
+            raise ConfigError(
+                f"--oracle-tol must be finite and nonnegative, got {args.oracle_tol!r}"
             )
         oracle = run_oracle(rc, qubit, limit=args.oracle_limit, tol=args.oracle_tol)
         payload["oracle"] = {

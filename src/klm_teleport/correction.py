@@ -164,10 +164,6 @@ def classify_sequence(weights: Sequence[float]) -> ExtremaClassification:
     return ExtremaClassification(tuple(maxima), tuple(minima), strict)
 
 
-def classify_extrema(rc: ResourceCoefficients) -> ExtremaClassification:
-    return classify_sequence([abs(a) ** 2 for a in rc.amplitudes])
-
-
 def extrema_formula(weights: Sequence[float]) -> float:
     """p(S) = 1 - sum(maxima) + sum(interior minima); strict sequences only."""
     ws = [float(w) for w in weights]

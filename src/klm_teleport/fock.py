@@ -8,6 +8,7 @@ treated as immutable values.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -197,6 +198,8 @@ class QubitAmplitudes:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
+            raise ValueError("qubit amplitudes must be finite")
         dev = abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0)
         if dev > NORM_TOL:
             raise ValueError(f"qubit amplitudes are not normalized (deviation {dev:.3e})")

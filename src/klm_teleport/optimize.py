@@ -45,6 +45,8 @@ class SimplexPoint:
         ws = tuple(float(w) for w in self.weights)
         if len(ws) < 2:
             raise ValueError("need at least two weights (n >= 1)")
+        if not all(math.isfinite(w) for w in ws):
+            raise ValueError("weights must be finite")
         if any(w < 0 for w in ws):
             raise ValueError("weights must be nonnegative")
         if abs(math.fsum(ws) - 1.0) > 1e-12:

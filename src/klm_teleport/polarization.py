@@ -30,10 +30,9 @@ from .optics import ModeUnitary, apply, embed, fourier_unitary
 from .teleport import (
     ORACLE_TOL,
     OracleMismatchError,
-    PatternRecord,
     ResourceCoefficients,
     TeleportOutcome,
-    run_analytic,
+    reconcile_outcomes,
 )
 
 HORIZONTAL = "H"
@@ -252,18 +251,6 @@ def build_polarized_resource(rc: ResourceCoefficients) -> PolarizedPhotonState:
     return PolarizedPhotonState(2 * n, PureState.from_terms(slots, terms))
 
 
-def run_analytic_polarization(
-    rc: ResourceCoefficients, qubit: QubitAmplitudes
-) -> list[TeleportOutcome]:
-    """Outcome law for the polarization encoding.
-
-    Identical to the number-encoded law: the detected vertical total m has
-    probability |alpha c_m|^2 + |beta c_{m-1}|^2 and leaves rail n+m carrying
-    the conditional qubit with H as logical 0 and V as logical 1.
-    """
-    return run_analytic(rc, qubit)
-
-
 def run_oracle_polarization(
     rc: ResourceCoefficients,
     qubit: QubitAmplitudes,
@@ -275,8 +262,9 @@ def run_oracle_polarization(
 
     Applies the doubled Fourier transform (same matrix on the horizontal and
     vertical slot blocks of rails 0..n), counts photons in every measured
-    slot, groups patterns by their vertical total, and reconciles each pattern
-    against the outcome law before aggregating.
+    slot, groups patterns by their vertical total, and hands them to
+    :func:`reconcile_outcomes`.  The corrective phase is the one that aligns
+    the simulated H/V amplitudes with the law's (alpha c_m, beta c_{m-1}).
     """
     n = rc.n
     if n > limit:
@@ -284,7 +272,6 @@ def run_oracle_polarization(
             f"polarization oracle limited to n <= {limit} (requested n={n}); "
             "raise the limit explicitly to go bigger"
         )
-    analytic = run_analytic(rc, qubit)
     state = tensor(input_qubit_state(qubit), build_polarized_resource(rc).state)
     total_slots = 2 * (2 * n + 1)
     fourier = fourier_unitary(n + 1).matrix
@@ -297,124 +284,42 @@ def run_oracle_polarization(
     evolved = apply(transform, state)
     measured = measure_photon_counts(evolved, range(2 * (n + 1)))
 
-    per_m_patterns: dict[int, list[PatternRecord]] = {}
-    per_m_prob: dict[int, list[float]] = {}
-    per_m_qubit: dict[int, tuple[float, QubitAmplitudes]] = {}
-
-    for pattern, prob, conditional in measured:
+    def read(pattern: Occupation, conditional: PureState, pat_tol: float):
         if sum(pattern) != n + 1:
             raise OracleMismatchError(
                 f"pattern {pattern} detected {sum(pattern)} photons, expected {n + 1}"
             )
         m = sum(pattern[1::2])
-        pat_tol = tol if prob >= 1e-12 else 1e-6
-        record, corrected = _reconcile_polarized_pattern(
-            pattern, m, prob, conditional, rc, qubit, analytic[m], pat_tol
-        )
-        per_m_patterns.setdefault(m, []).append(record)
-        per_m_prob.setdefault(m, []).append(prob)
-        if corrected is not None:
-            best = per_m_qubit.get(m)
-            if best is None or prob > best[0]:
-                per_m_qubit[m] = (prob, corrected)
+        return m, _spectator_occupations(n, m)
 
-    outcomes = []
-    for m in range(n + 2):
-        prob = math.fsum(per_m_prob.get(m, []))
-        expected = analytic[m].probability
-        if abs(prob - expected) > tol:
-            raise OracleMismatchError(
-                f"aggregated probability for vertical total m={m} is {prob!r}, "
-                f"law gives {expected!r}"
-            )
-        success_class = 1 <= m <= n
-        outcomes.append(
-            TeleportOutcome(
-                m=m,
-                probability=prob,
-                qubit_mode=n + m if success_class else None,
-                conditional_qubit=per_m_qubit.get(m, (0.0, None))[1] if success_class else None,
-                patterns=tuple(per_m_patterns.get(m, ())),
-            )
-        )
-    total = math.fsum(o.probability for o in outcomes)
-    if abs(total - 1.0) > 1e-12:
-        raise OracleMismatchError(f"outcome probabilities sum to {total!r}")
-    return outcomes
+    def phase_of(pattern: Occupation, m: int, amp_h: complex, amp_v: complex) -> complex:
+        target = qubit.beta * rc.at(m - 1)
+        source = qubit.alpha * rc.at(m)
+        if abs(amp_v) < 1e-13 or target == 0 or source == 0 or abs(amp_h) < 1e-13:
+            return 1 + 0j
+        ratio = (amp_h * target) / (amp_v * source)
+        return ratio / abs(ratio)
+
+    return reconcile_outcomes(rc, qubit, measured, read, phase_of, tol)
 
 
-def _spectator_occupations(n: int, m: int) -> tuple[Occupation, Occupation]:
-    """Expected back-rail slot patterns for the two logical branches at outcome m.
+def _spectator_occupations(n: int, m: int) -> tuple[Occupation, ...]:
+    """Back-rail slot patterns the conditional state may hold at outcome m.
 
-    Back rails local 0..n-1 stand for global rails n+1..2n; the qubit rides
-    local rail m-1.  Rails before it are horizontal, rails after it vertical.
+    Back rails local 0..n-1 stand for global rails n+1..2n.  Failures leave
+    every back rail vertical at m = 0 and horizontal at m = n+1.  At success m
+    the qubit rides local rail m-1: rails before it are horizontal, rails
+    after it vertical; the logical-H occupation comes first, then logical-V.
     """
     horizontal = (1, 0)
     vertical = (0, 1)
+    if m == 0:
+        return (vertical * n,)
+    if m == n + 1:
+        return (horizontal * n,)
     prefix = horizontal * (m - 1)
     suffix = vertical * (n - m)
     return prefix + horizontal + suffix, prefix + vertical + suffix
-
-
-def _reconcile_polarized_pattern(
-    pattern: Occupation,
-    m: int,
-    prob: float,
-    conditional: PureState,
-    rc: ResourceCoefficients,
-    qubit: QubitAmplitudes,
-    analytic: TeleportOutcome,
-    tol: float,
-) -> tuple[PatternRecord, QubitAmplitudes | None]:
-    n = rc.n
-    if m > n + 1:
-        raise OracleMismatchError(f"impossible vertical total {m} in pattern {pattern}")
-
-    if m == 0 or m == n + 1:
-        pol = (0, 1) if m == 0 else (1, 0)
-        expected = {pol * n} if n else {()}
-        if set(conditional.pruned(1e-9).amplitudes) - expected:
-            raise OracleMismatchError(
-                f"failure pattern {pattern} left rails {sorted(conditional.amplitudes)}"
-            )
-        return PatternRecord(pattern, prob, 1 + 0j, float("nan")), None
-
-    occ_h, occ_v = _spectator_occupations(n, m)
-    amp_h = conditional.amplitude(occ_h)
-    amp_v = conditional.amplitude(occ_v)
-    stray = max(0.0, 1.0 - abs(amp_h) ** 2 - abs(amp_v) ** 2)
-    if stray > tol:
-        raise OracleMismatchError(
-            f"pattern {pattern} has weight {stray:.3e} outside the expected rail pattern"
-        )
-
-    p_m = analytic.probability
-    expected_h = abs(qubit.alpha * rc.at(m)) / math.sqrt(p_m) if p_m > 0 else 0.0
-    expected_v = abs(qubit.beta * rc.at(m - 1)) / math.sqrt(p_m) if p_m > 0 else 0.0
-    if abs(abs(amp_h) - expected_h) > tol or abs(abs(amp_v) - expected_v) > tol:
-        raise OracleMismatchError(
-            f"pattern {pattern} magnitudes ({abs(amp_h):.12f}, {abs(amp_v):.12f}) "
-            f"differ from the law ({expected_h:.12f}, {expected_v:.12f})"
-        )
-
-    target = qubit.beta * rc.at(m - 1)
-    source = qubit.alpha * rc.at(m)
-    if abs(amp_v) < 1e-13 or target == 0 or source == 0 or abs(amp_h) < 1e-13:
-        phase = 1 + 0j
-    else:
-        ratio = (amp_h * target) / (amp_v * source)
-        phase = ratio / abs(ratio)
-
-    fidelity = float("nan")
-    corrected = None
-    if analytic.conditional_qubit is not None and (amp_h != 0 or amp_v != 0):
-        corrected = QubitAmplitudes.from_unnormalized(amp_h, amp_v * phase)
-        fidelity = corrected.fidelity_with(analytic.conditional_qubit)
-        if fidelity < 1.0 - tol:
-            raise OracleMismatchError(
-                f"pattern {pattern} corrected fidelity {fidelity!r} below tolerance"
-            )
-    return PatternRecord(pattern, prob, phase, fidelity), corrected
 
 
 def teleported_state(

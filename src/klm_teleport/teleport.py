@@ -15,21 +15,25 @@ the qubit to a logical basis state.
 Two independent routes produce this outcome table: ``run_analytic`` evaluates
 the law above, while ``run_oracle`` simulates the full interferometer in Fock
 space and reconciles every detection pattern against the law, including the
-pattern-dependent corrective phase on the logical-one amplitude.
+pattern-dependent corrective phase on the logical-one amplitude.  The
+reconciliation itself, ``reconcile_outcomes``, is shared with the
+polarization-encoded oracle.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .fock import (
     NORM_TOL,
+    MeasurementOutcome,
     Occupation,
     PureState,
     QubitAmplitudes,
@@ -58,6 +62,8 @@ class ResourceCoefficients:
         amps = tuple(complex(a) for a in self.amplitudes)
         if len(amps) < 2:
             raise ValueError("resource needs at least two coefficients (n >= 1)")
+        if not all(cmath.isfinite(a) for a in amps):
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "amplitudes", amps)
         dev = abs(math.fsum(abs(a) ** 2 for a in amps) - 1.0)
         if dev > NORM_TOL:
@@ -239,6 +245,127 @@ def _schmidt_rank_one(
     return len(singular) < 2 or singular[1] <= tol
 
 
+def reconcile_outcomes(
+    rc: ResourceCoefficients,
+    qubit: QubitAmplitudes,
+    measured: Iterable[MeasurementOutcome],
+    read: Callable[[Occupation, PureState, float], tuple[int, tuple[Occupation, ...]]],
+    phase_of: Callable[[Occupation, int, complex, complex], complex],
+    tol: float = ORACLE_TOL,
+) -> list[TeleportOutcome]:
+    """Check simulated detection patterns against the outcome law and aggregate by m.
+
+    The encoding-independent half of both oracles.  The encoding supplies
+    ``read(pattern, conditional, pattern_tol)``, which returns the outcome m
+    and the occupations the conditional state may hold (the lone spectator
+    occupation of a failure, or the logical-zero and logical-one occupations
+    of a success) and raises OracleMismatchError for a pattern the encoding
+    cannot produce; and ``phase_of(pattern, m, amp0, amp1)``, the unit factor
+    on the logical-one amplitude of a success pattern.
+
+    Every failure pattern may leave only its spectator occupation.  Every
+    success pattern may hold weight only on its two logical occupations, whose
+    magnitudes must match the law and whose phase-corrected qubit must match
+    the law's conditional qubit.  The most probable pattern's corrected qubit
+    represents each m, and the aggregated probability of each m must match the
+    law within ``tol``.  Raises OracleMismatchError on any disagreement.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"oracle tolerance must be finite and nonnegative, got {tol!r}")
+    n = rc.n
+    analytic = run_analytic(rc, qubit)
+    per_m_patterns: dict[int, list[PatternRecord]] = {}
+    per_m_qubit: dict[int, tuple[float, QubitAmplitudes]] = {}
+
+    for pattern, prob, conditional in measured:
+        # Per-pattern tolerances loosen for negligible-probability patterns,
+        # whose normalized amplitudes amplify machine noise; they contribute
+        # nothing at the aggregate level, which keeps the strict tolerance.
+        pat_tol = tol if prob >= 1e-12 else 1e-6
+        m, occupations = read(pattern, conditional, pat_tol)
+        if m > n + 1:
+            raise OracleMismatchError(f"impossible outcome m={m} in pattern {pattern}")
+        records = per_m_patterns.setdefault(m, [])
+        if not 1 <= m <= n:
+            if set(conditional.pruned(1e-9).amplitudes) - set(occupations):
+                raise OracleMismatchError(
+                    f"failure pattern {pattern} left spectators {sorted(conditional.amplitudes)}"
+                )
+            records.append(PatternRecord(pattern, prob, 1 + 0j, float("nan")))
+            continue
+
+        amp0 = conditional.amplitude(occupations[0])
+        amp1 = conditional.amplitude(occupations[1])
+        stray = max(0.0, 1.0 - abs(amp0) ** 2 - abs(amp1) ** 2)
+        if stray > pat_tol:
+            raise OracleMismatchError(
+                f"pattern {pattern} has weight {stray:.3e} outside the expected spectator block"
+            )
+
+        law = analytic[m]
+        p_m = law.probability
+        expected0 = abs(qubit.alpha * rc.at(m)) / math.sqrt(p_m) if p_m > 0 else 0.0
+        expected1 = abs(qubit.beta * rc.at(m - 1)) / math.sqrt(p_m) if p_m > 0 else 0.0
+        if abs(abs(amp0) - expected0) > pat_tol or abs(abs(amp1) - expected1) > pat_tol:
+            raise OracleMismatchError(
+                f"pattern {pattern} magnitudes ({abs(amp0):.12f}, {abs(amp1):.12f}) "
+                f"differ from the law ({expected0:.12f}, {expected1:.12f})"
+            )
+
+        phase = phase_of(pattern, m, amp0, amp1)
+        fidelity = float("nan")
+        if law.conditional_qubit is not None and (amp0 != 0 or amp1 != 0):
+            corrected = QubitAmplitudes.from_unnormalized(amp0, amp1 * phase)
+            fidelity = corrected.fidelity_with(law.conditional_qubit)
+            if fidelity < 1.0 - pat_tol:
+                raise OracleMismatchError(
+                    f"pattern {pattern} corrected fidelity {fidelity!r} below tolerance"
+                )
+            best = per_m_qubit.get(m)
+            if best is None or prob > best[0]:
+                per_m_qubit[m] = (prob, corrected)
+        records.append(PatternRecord(pattern, prob, phase, fidelity))
+
+    outcomes = []
+    for law in analytic:
+        records = tuple(per_m_patterns.get(law.m, ()))
+        prob = math.fsum(record.probability for record in records)
+        if abs(prob - law.probability) > tol:
+            raise OracleMismatchError(
+                f"aggregated probability for m={law.m} is {prob!r}, "
+                f"law gives {law.probability!r}"
+            )
+        outcomes.append(
+            TeleportOutcome(
+                m=law.m,
+                probability=prob,
+                qubit_mode=law.qubit_mode,
+                conditional_qubit=per_m_qubit.get(law.m, (0.0, None))[1],
+                patterns=records,
+            )
+        )
+    total = math.fsum(o.probability for o in outcomes)
+    if abs(total - 1.0) > 1e-12:
+        raise OracleMismatchError(f"outcome probabilities sum to {total!r}")
+    return outcomes
+
+
+def _number_branches(n: int, m: int) -> tuple[Occupation, ...]:
+    """Unmeasured-mode occupations the conditional state may hold at outcome m.
+
+    Failures leave spectators only: every back mode occupied at m = 0, none at
+    m = n+1.  Success m puts the qubit on unmeasured mode m-1 (global mode
+    n+m) with the n-m modes after it occupied; logical 0 first, then 1.
+    """
+    if m == 0:
+        return ((1,) * n,)
+    if m == n + 1:
+        return ((0,) * n,)
+    base = (0,) * (m - 1)
+    tail = (1,) * (n - m)
+    return base + (0,) + tail, base + (1,) + tail
+
+
 def run_oracle(
     rc: ResourceCoefficients,
     qubit: QubitAmplitudes,
@@ -249,10 +376,9 @@ def run_oracle(
     """Exact Fock-space simulation of the protocol, reconciled pattern by pattern.
 
     Builds input qubit x resource, applies the embedded (n+1)-point Fourier
-    transform, photon-counts the first n+1 modes, and checks every detection
-    pattern against the analytic law: spectator factorization, branch
-    magnitudes, and phase-corrected conditional qubits.  Aggregated
-    probabilities must match within ``tol`` or OracleMismatchError is raised.
+    transform, photon-counts the first n+1 modes, checks that every success
+    pattern leaves a factorized conditional state, and hands the patterns to
+    :func:`reconcile_outcomes` with phases from :func:`derive_phase_correction`.
     """
     n = rc.n
     if n > limit:
@@ -260,142 +386,21 @@ def run_oracle(
             f"oracle limited to n <= {limit} (requested n={n}); "
             "raise the limit explicitly to go bigger"
         )
-    analytic = run_analytic(rc, qubit)
     protocol_state = tensor(qubit_state(qubit), build_resource_state(rc))
     transform = embed(fourier_unitary(n + 1), tuple(range(n + 1)), 2 * n + 1)
     evolved = apply(transform, protocol_state)
     measured = measure_photon_counts(evolved, range(n + 1))
 
-    per_m_patterns: dict[int, list[PatternRecord]] = {}
-    per_m_prob: dict[int, list[float]] = {}
-    per_m_qubit: dict[int, tuple[float, QubitAmplitudes]] = {}
-
-    for pattern, prob, conditional in measured:
+    def read(pattern: Occupation, conditional: PureState, pat_tol: float):
         m = sum(pattern)
-        if m > n + 1:
-            raise OracleMismatchError(f"impossible photon count {m} in pattern {pattern}")
-        # Per-pattern tolerances loosen for negligible-probability patterns,
-        # whose normalized amplitudes amplify machine noise; they contribute
-        # nothing at the aggregate level, which keeps the strict tolerance.
-        pat_tol = tol if prob >= 1e-12 else 1e-6
-        record = _reconcile_pattern(
-            pattern, m, prob, conditional, rc, qubit, analytic[m], pat_tol
-        )
-        per_m_patterns.setdefault(m, []).append(record)
-        per_m_prob.setdefault(m, []).append(prob)
-        if record.corrected_fidelity == record.corrected_fidelity and 1 <= m <= n:
-            best = per_m_qubit.get(m)
-            corrected = _corrected_qubit(conditional, m, n, record.corrective_phase)
-            if corrected is not None and (best is None or prob > best[0]):
-                per_m_qubit[m] = (prob, corrected)
+        if 1 <= m <= n and not _schmidt_rank_one(conditional.amplitudes, m - 1, pat_tol):
+            raise OracleMismatchError(f"conditional state for pattern {pattern} does not factorize")
+        return m, _number_branches(n, m)
 
-    outcomes = []
-    for m in range(n + 2):
-        prob = math.fsum(per_m_prob.get(m, []))
-        expected = analytic[m].probability
-        if abs(prob - expected) > tol:
-            raise OracleMismatchError(
-                f"aggregated probability for m={m} is {prob!r}, law gives {expected!r}"
-            )
-        success_class = 1 <= m <= n
-        conditional = per_m_qubit.get(m, (0.0, None))[1] if success_class else None
-        outcomes.append(
-            TeleportOutcome(
-                m=m,
-                probability=prob,
-                qubit_mode=n + m if success_class else None,
-                conditional_qubit=conditional,
-                patterns=tuple(per_m_patterns.get(m, ())),
-            )
-        )
-    total = math.fsum(o.probability for o in outcomes)
-    if abs(total - 1.0) > 1e-12:
-        raise OracleMismatchError(f"outcome probabilities sum to {total!r}")
-    return outcomes
+    def phase_of(pattern: Occupation, m: int, amp0: complex, amp1: complex) -> complex:
+        return derive_phase_correction(pattern, m, rc, qubit)
 
-
-def _corrected_qubit(
-    conditional: PureState, m: int, n: int, phase: complex
-) -> QubitAmplitudes | None:
-    qubit_position = m - 1
-    amp0 = amp1 = 0j
-    for occ, amp in conditional.amplitudes.items():
-        if occ[qubit_position] == 0:
-            amp0 = amp
-        elif occ[qubit_position] == 1:
-            amp1 = amp
-    if amp0 == 0 and amp1 == 0:
-        return None
-    return QubitAmplitudes.from_unnormalized(amp0, amp1 * phase)
-
-
-def _reconcile_pattern(
-    pattern: Occupation,
-    m: int,
-    prob: float,
-    conditional: PureState,
-    rc: ResourceCoefficients,
-    qubit: QubitAmplitudes,
-    analytic: TeleportOutcome,
-    tol: float,
-) -> PatternRecord:
-    n = rc.n
-    spectator_tail = (1,) * (n - m) if 0 <= m <= n else ()
-
-    if m == 0:
-        expected = {(1,) * n} if n else {()}
-        if set(conditional.pruned(1e-9).amplitudes) - expected:
-            raise OracleMismatchError(
-                f"failure pattern {pattern} left spectators {sorted(conditional.amplitudes)}"
-            )
-        return PatternRecord(pattern, prob, 1 + 0j, float("nan"))
-    if m == n + 1:
-        expected = {(0,) * n} if n else {()}
-        if set(conditional.pruned(1e-9).amplitudes) - expected:
-            raise OracleMismatchError(
-                f"failure pattern {pattern} left spectators {sorted(conditional.amplitudes)}"
-            )
-        return PatternRecord(pattern, prob, 1 + 0j, float("nan"))
-
-    qubit_position = m - 1
-    if not _schmidt_rank_one(conditional.amplitudes, qubit_position, tol):
-        raise OracleMismatchError(f"conditional state for pattern {pattern} does not factorize")
-
-    base = (0,) * (m - 1)
-    key0 = base + (0,) + spectator_tail
-    key1 = base + (1,) + spectator_tail
-    amp0 = conditional.amplitude(key0)
-    amp1 = conditional.amplitude(key1)
-    stray = math.sqrt(
-        max(
-            0.0,
-            1.0 - abs(amp0) ** 2 - abs(amp1) ** 2,
-        )
-    )
-    if stray > math.sqrt(tol):
-        raise OracleMismatchError(
-            f"pattern {pattern} has weight {stray**2:.3e} outside the expected spectator block"
-        )
-
-    p_m = analytic.probability
-    expected0 = abs(qubit.alpha * rc.at(m)) / math.sqrt(p_m) if p_m > 0 else 0.0
-    expected1 = abs(qubit.beta * rc.at(m - 1)) / math.sqrt(p_m) if p_m > 0 else 0.0
-    if abs(abs(amp0) - expected0) > tol or abs(abs(amp1) - expected1) > tol:
-        raise OracleMismatchError(
-            f"pattern {pattern} magnitudes ({abs(amp0):.12f}, {abs(amp1):.12f}) "
-            f"differ from the law ({expected0:.12f}, {expected1:.12f})"
-        )
-
-    phase = derive_phase_correction(pattern, m, rc, qubit)
-    fidelity = float("nan")
-    if analytic.conditional_qubit is not None and (amp0 != 0 or amp1 != 0):
-        corrected = QubitAmplitudes.from_unnormalized(amp0, amp1 * phase)
-        fidelity = corrected.fidelity_with(analytic.conditional_qubit)
-        if fidelity < 1.0 - tol:
-            raise OracleMismatchError(
-                f"pattern {pattern} corrected fidelity {fidelity!r} below tolerance"
-            )
-    return PatternRecord(pattern, prob, phase, fidelity)
+    return reconcile_outcomes(rc, qubit, measured, read, phase_of, tol)
 
 
 def oracle_deviation(

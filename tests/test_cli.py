@@ -240,6 +240,12 @@ def test_module_entry_point_runs():
         ["optimize", "--objective", "success", "--n", "2", "--budget", "0"],
         ["sweep", "--n-min", "3", "--n-max", "2"],
         ["sweep", "--n-min", "0", "--n-max", "2"],
+        ["teleport", "--n", "1", "--coeffs", "uniform", "--oracle", "--oracle-tol", "-1"],
+        ["teleport", "--n", "1", "--coeffs", "uniform", "--oracle", "--oracle-tol", "nan"],
+        ["teleport", "--n", "1", "--coeffs", "uniform", "--oracle", "--oracle-tol", "inf"],
+        ["teleport", "--coeffs", "inline:nan,1"],
+        ["teleport", "--coeffs", "inline:inf,1", "--renormalize"],
+        ["teleport", "--n", "1", "--qubit", "nan,0+1,0"],
     ],
 )
 def test_config_errors_exit_two(capsys, argv):

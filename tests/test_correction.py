@@ -14,7 +14,6 @@ from klm_teleport import (
     ResourceCoefficients,
     adjacent_minima_sum,
     apply_correction,
-    classify_extrema,
     classify_sequence,
     extrema_formula,
     kraus_for,
@@ -172,7 +171,7 @@ def test_classify_sequence_flags_plateaus():
 
 
 def test_classify_extrema_on_coefficients():
-    cls = classify_extrema(WORKED)
+    cls = classify_sequence(WORKED.weights())
     assert cls.maxima == (0,)
     assert cls.interior_minima == ()
     assert cls.strict

@@ -160,6 +160,8 @@ def test_qubit_amplitudes_enforce_normalization():
     assert abs(q.alpha) == pytest.approx(1 / math.sqrt(2))
     with pytest.raises(ValueError):
         QubitAmplitudes.from_unnormalized(0.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        QubitAmplitudes(float("nan"), 1.0)
 
 
 def test_qubit_fidelity_and_haar_sampling():

@@ -32,6 +32,8 @@ def test_simplex_point_validation():
         SimplexPoint((1.1, -0.1))
     with pytest.raises(ValueError):
         SimplexPoint((1.0,))
+    with pytest.raises(ValueError, match="finite"):
+        SimplexPoint((float("nan"), 1.0))
     SimplexPoint((0.25, 0.75))
 
 

@@ -22,7 +22,6 @@ from klm_teleport import (
     phase_shift,
     rotate_polarization,
     run_analytic,
-    run_analytic_polarization,
     run_oracle_polarization,
     slot_index,
     teleported_state,
@@ -162,20 +161,12 @@ def test_polarized_resource_structure():
     )
 
 
-def test_polarization_analytic_matches_number_encoding():
-    outcomes = run_analytic_polarization(WORKED, balanced())
-    reference = run_analytic(WORKED, balanced())
-    for a, b in zip(outcomes, reference):
-        assert a.m == b.m
-        assert a.probability == pytest.approx(b.probability, abs=1e-15)
-
-
 def test_polarization_oracle_agrees_with_law():
     rng = np.random.default_rng(53)
     for n in (1, 2):
         rc = random_coefficients(n, rng)
         q = random_qubit(rng)
-        analytic = run_analytic_polarization(rc, q)
+        analytic = run_analytic(rc, q)
         oracle = run_oracle_polarization(rc, q)
         assert oracle_deviation(analytic, oracle) < 1e-10
         assert math.fsum(o.probability for o in oracle) == pytest.approx(1.0, abs=1e-12)

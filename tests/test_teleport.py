@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import klm_teleport.polarization as polarization_module
+import klm_teleport.teleport as teleport_module
 from klm_teleport import (
+    MeasurementOutcome,
+    OracleMismatchError,
+    PureState,
     QubitAmplitudes,
     ResourceCoefficients,
     build_resource_state,
@@ -17,6 +22,7 @@ from klm_teleport import (
     oracle_deviation,
     run_analytic,
     run_oracle,
+    run_oracle_polarization,
     save_coefficients,
     tensor,
 )
@@ -44,6 +50,9 @@ def test_resource_coefficients_validation():
         ResourceCoefficients.normalized([0.0, 0.0])
     with pytest.raises(ValueError):
         ResourceCoefficients.uniform(0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ResourceCoefficients((bad, 1.0))
 
 
 def test_resource_coefficients_accessors():
@@ -178,6 +187,65 @@ def test_oracle_refuses_large_n_by_default():
     rc = ResourceCoefficients.uniform(5)
     with pytest.raises(ValueError, match="n <= 4"):
         run_oracle(rc, balanced())
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("oracle", [run_oracle, run_oracle_polarization])
+def test_oracles_reject_invalid_tolerance(oracle, tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        oracle(ResourceCoefficients.uniform(1), balanced(), tol=tol)
+
+
+def _swap_branches(conditional, m):
+    amps = dict(conditional.amplitudes)
+    weaker, stronger = sorted(amps, key=lambda occ: abs(amps[occ]))[-2:]
+    amps[weaker], amps[stronger] = amps[stronger], amps[weaker]
+    return PureState(conditional.mode_count, amps)
+
+
+def _rotate_logical_one(conditional, m):
+    # The number encoding leaves the qubit on unmeasured mode m - 1.
+    return PureState(
+        conditional.mode_count,
+        {occ: amp * 1j if occ[m - 1] else amp for occ, amp in conditional.amplitudes.items()},
+    )
+
+
+#: module whose measurement is corrupted, its oracle, and how it reads m from a pattern
+ENCODINGS = {
+    "number": (teleport_module, run_oracle, sum),
+    "polarization": (polarization_module, run_oracle_polarization, lambda p: sum(p[1::2])),
+}
+
+
+@pytest.mark.parametrize(
+    "encoding, corrupt, message",
+    [
+        ("number", None, "aggregated probability"),
+        ("polarization", None, "aggregated probability"),
+        ("number", _swap_branches, "magnitudes"),
+        ("polarization", _swap_branches, "magnitudes"),
+        ("number", _rotate_logical_one, "corrected fidelity"),
+    ],
+)
+def test_oracles_catch_a_corrupted_pattern(monkeypatch, encoding, corrupt, message):
+    """Drop one m = 1 pattern (corrupt is None) or alter its conditional state."""
+    module, oracle, outcome_of = ENCODINGS[encoding]
+    measure = module.measure_photon_counts
+
+    def corrupted(state, modes):
+        outcomes = measure(state, modes)
+        index = next(i for i, o in enumerate(outcomes) if outcome_of(o.pattern) == 1)
+        if corrupt is None:
+            del outcomes[index]
+        else:
+            pattern, prob, conditional = outcomes[index]
+            outcomes[index] = MeasurementOutcome(pattern, prob, corrupt(conditional, 1))
+        return outcomes
+
+    monkeypatch.setattr(module, "measure_photon_counts", corrupted)
+    with pytest.raises(OracleMismatchError, match=message):
+        oracle(WORKED, QubitAmplitudes(0.6, 0.8))
 
 
 def test_coefficient_file_roundtrip(tmp_path):
