@@ -45,6 +45,7 @@ from .teleport import (
     OracleMismatchError,
     ResourceCoefficients,
     load_coefficients,
+    normalize_coefficients,
     oracle_deviation,
     run_analytic,
     run_oracle,
@@ -131,10 +132,18 @@ def parse_qubit(text: str | None) -> QubitAmplitudes:
         beta = _parse_complex(halves[1])
     except ValueError as exc:
         raise ConfigError(f"bad qubit amplitude in {text!r}: {exc}") from None
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    try:
+        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    except OverflowError:
+        norm = math.inf
+    if math.isinf(norm):
+        raise ConfigError(f"qubit amplitudes in {text!r} overflow their norm")
     if norm == 0.0:
         raise ConfigError("qubit amplitudes cannot both be zero")
-    return QubitAmplitudes(alpha / norm, beta / norm)
+    try:
+        return QubitAmplitudes(alpha / norm, beta / norm)
+    except ValueError as exc:
+        raise ConfigError(f"bad qubit amplitudes {text!r}: {exc}") from None
 
 
 def _parse_complex(text: str) -> complex:
@@ -175,7 +184,10 @@ def parse_coefficients(args: argparse.Namespace) -> ResourceCoefficients:
         if args.squared:
             if any(v < 0 for v in values):
                 raise ConfigError("squared moduli cannot be negative")
-            total = math.fsum(values)
+            try:
+                total = math.fsum(values)
+            except OverflowError:
+                raise ConfigError("squared moduli overflow their sum") from None
             if total == 0.0:
                 raise ConfigError("squared moduli cannot all be zero")
             if abs(total - 1.0) > 1e-9 and not args.renormalize:
@@ -185,14 +197,10 @@ def parse_coefficients(args: argparse.Namespace) -> ResourceCoefficients:
             return ResourceCoefficients(
                 tuple(math.sqrt(v / total) for v in values)
             )
-        norm = math.sqrt(math.fsum(v * v for v in values))
-        if norm == 0.0:
-            raise ConfigError("coefficients cannot all be zero")
-        if abs(norm - 1.0) > 1e-9 and not args.renormalize:
-            raise ConfigError(
-                f"coefficient norm is {norm!r}; pass --renormalize to accept"
-            )
-        return ResourceCoefficients(tuple(v / norm for v in values))
+        try:
+            return normalize_coefficients(values, renormalize=args.renormalize)
+        except ValueError as exc:
+            raise ConfigError(f"bad inline coefficients {body!r}: {exc}") from None
     if args.squared:
         raise ConfigError("--squared applies to inline coefficients only")
     if source.startswith("file:"):
@@ -317,6 +325,8 @@ _OBJECTIVE_NAMES = {"success": "success", "avgfid": "avg_fidelity"}
 
 
 def cmd_optimize(args: argparse.Namespace) -> str:
+    if args.format == "csv":
+        raise ConfigError("optimize emits JSON only")
     if args.n is None:
         raise ConfigError("optimize requires --n")
     if args.n < 1:
@@ -340,8 +350,6 @@ def cmd_optimize(args: argparse.Namespace) -> str:
     payload = report.as_dict()
     if args.objective == "success":
         payload["uniform_reference"] = args.n / (args.n + 1)
-    if args.format == "csv":
-        raise ConfigError("optimize emits JSON only")
     return dump_json(payload) + "\n"
 
 
@@ -352,8 +360,6 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         raise ConfigError(
             f"--n-max ({args.n_max}) must not be below --n-min ({args.n_min})"
         )
-    if args.budget < 1:
-        raise ConfigError("--budget must be positive")
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
     rows = []
@@ -361,12 +367,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         uniform_rc = ResourceCoefficients.uniform(n)
         uniform_point = SimplexPoint.uniform(n)
         report = maximize(
-            "avg_fidelity",
-            n,
-            budget=args.budget,
-            seed=args.seed + n,
-            restarts=args.restarts,
-            mc_samples=args.samples,
+            "avg_fidelity", n, seed=args.seed + n, mc_samples=args.samples
         )
         rows.append(
             {
@@ -469,9 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="figure of merit (default success)",
     )
     p_opt.add_argument(
-        "--budget", type=int, default=150_000, help="objective evaluation budget"
+        "--budget",
+        type=int,
+        default=150_000,
+        help="objective evaluation budget of the success search",
     )
-    p_opt.add_argument("--restarts", type=int, default=32, help="random restarts")
+    p_opt.add_argument(
+        "--restarts",
+        type=int,
+        default=32,
+        help="random restarts of the success search",
+    )
     p_opt.add_argument(
         "--samples",
         type=int,
@@ -490,10 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="scaling table over a range of n")
     p_sw.add_argument("--n-min", type=int, default=1, help="first n (default 1)")
     p_sw.add_argument("--n-max", type=int, default=8, help="last n (default 8)")
-    p_sw.add_argument(
-        "--budget", type=int, default=150_000, help="objective evaluation budget per n"
-    )
-    p_sw.add_argument("--restarts", type=int, default=32, help="random restarts per n")
     p_sw.add_argument(
         "--samples",
         type=int,

@@ -128,9 +128,6 @@ class PureState:
             sum(small[occ].conjugate() * large[occ] for occ in small if occ in large)
         )
 
-    def items_sorted(self) -> list[tuple[Occupation, complex]]:
-        return sorted(self.amplitudes.items())
-
 
 def tensor(left: PureState, right: PureState) -> PureState:
     """Tensor product; the right factor's modes are appended after the left's."""

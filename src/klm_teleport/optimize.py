@@ -8,18 +8,21 @@ Two figures of merit, both functions of the weights w_i = |c_i|^2 alone:
   qubits without any correction step, whose closed form is derived here and
   cross-checked by Monte Carlo sampling of the outcome law.
 
-The search runs Nelder-Mead in softmax coordinates from many seeded starts
-(plus an exhaustive coarse simplex grid for small n), then polishes the
-incumbent.  Both objectives are concave over the simplex, so multistart local
-search is globally reliable; an independent extrema certificate bounds the
-success objective from above to witness optimality.
+The average fidelity is maximized exactly: with x_m = sqrt(w_m) it is a
+quadratic form on the unit sphere, so the optimum is the top eigenvector of a
+symmetric tridiagonal matrix.  The success probability is searched by
+Nelder-Mead in softmax coordinates from many seeded starts (plus an
+exhaustive coarse simplex grid for small n), then the incumbent is polished.
+It is concave over the simplex, so multistart local search is globally
+reliable; an independent extrema certificate bounds it from above to witness
+optimality.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -254,20 +257,7 @@ class OptimalityCertificate:
     gap: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "success_probability": self.success_probability,
-            "success_bound": self.success_bound,
-            "threshold": self.threshold,
-            "peak_index": self.peak_index,
-            "peak_weight": self.peak_weight,
-            "exceeds_threshold": self.exceeds_threshold,
-            "surplus": self.surplus,
-            "surplus_nonnegative": self.surplus_nonnegative,
-            "below_bound": self.below_bound,
-            "gap": self.gap,
-        }
+        return asdict(self)
 
 
 def certify_klm_bound(point: SimplexPoint) -> OptimalityCertificate:
@@ -352,9 +342,11 @@ def maximize(
 ) -> OptimizationReport:
     """Maximize an objective over the weight simplex for a size-n resource.
 
-    Deterministic for a fixed seed.  ``budget`` caps total objective
-    evaluations across the grid sweep, the seeded restarts, and the polish
-    rounds; exhausting it sets ``budget_exhausted`` and returns the incumbent.
+    Deterministic for a fixed seed.  ``avg_fidelity`` is solved exactly (see
+    :func:`_maximize_avg_fidelity`).  For ``success``, ``budget`` caps total
+    objective evaluations across the grid sweep, the seeded restarts, and the
+    polish rounds; exhausting it sets ``budget_exhausted`` and returns the
+    incumbent.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
@@ -362,18 +354,12 @@ def maximize(
         raise ValueError(f"resource size must be at least 1, got {n}")
     if budget < 1:
         raise ValueError("evaluation budget must be positive")
-
-    if objective == "success":
-        def score(weights: Sequence[float]) -> float:
-            return adjacent_minima_sum(weights)
-    else:
-        def score(weights: Sequence[float]) -> float:
-            cross = math.fsum(
-                math.sqrt(a * b) for a, b in zip(weights, weights[1:])
-            )
-            if convention is FailureConvention.COLLAPSE:
-                return (2.0 + cross) / 3.0
-            return (2.0 - weights[0] - weights[-1] + cross) / 3.0
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if mc_samples < 2:
+        raise ValueError(f"need at least two Monte Carlo samples, got {mc_samples}")
+    if objective == "avg_fidelity":
+        return _maximize_avg_fidelity(n, seed, convention, mc_samples)
 
     evaluations = 0
     budget_exhausted = False
@@ -395,7 +381,7 @@ def maximize(
         for cell in enumerate_basis(n + 1, GRID_RESOLUTION):
             weights = tuple(c / GRID_RESOLUTION for c in cell)
             evaluations += 1
-            consider(weights, score(weights))
+            consider(weights, adjacent_minima_sum(weights))
             if evaluations >= budget:
                 budget_exhausted = True
                 break
@@ -407,7 +393,7 @@ def maximize(
     def negated(x: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        return -score(tuple(_softmax(x)))
+        return -adjacent_minima_sum(tuple(_softmax(x)))
 
     def run_stage(x0: np.ndarray) -> None:
         nonlocal evaluations, budget_exhausted
@@ -429,7 +415,7 @@ def maximize(
         )
         weights = tuple(float(w) for w in _softmax(result.x))
         evaluations += 1
-        consider(weights, score(weights))
+        consider(weights, adjacent_minima_sum(weights))
 
     starts = [rng.standard_normal(dim) for _ in range(restarts)]
     for x0 in starts:
@@ -450,37 +436,17 @@ def maximize(
         raise RuntimeError("optimization produced no candidate within the budget")
 
     best_point = SimplexPoint.from_unnormalized(best_weights)
-    best_value = score(best_point.weights)
+    best_value = adjacent_minima_sum(best_point.weights)
     evaluations += 1
 
     uniform = SimplexPoint.uniform(n)
-    if objective == "success":
-        certificate = certify_klm_bound(best_point).as_dict()
-        certificate["uniform_value"] = objective_success(uniform)
-        certificate["value_minus_uniform"] = best_value - certificate["uniform_value"]
-        certificate["distance_to_uniform_linf"] = max(
-            abs(w - u) for w, u in zip(best_point.weights, uniform.weights)
-        )
-        method = "nelder-mead-softmax-multistart"
-    else:
-        mc = objective_avg_fidelity(
-            best_point,
-            samples=mc_samples,
-            seed=seed + 1,
-            convention=convention,
-        )
-        certificate = {
-            "convention": convention.value,
-            "closed_form_at_best": best_value,
-            "uniform_value": avg_fidelity_closed_form(uniform, convention),
-            "analytic_optimum": optimal_avg_fidelity(n)
-            if convention is FailureConvention.COLLAPSE
-            else None,
-            "mc_estimate": mc.estimate,
-            "mc_std_error": mc.std_error,
-            "mc_samples": mc.samples,
-        }
-        method = "nelder-mead-softmax-multistart"
+    certificate = certify_klm_bound(best_point).as_dict()
+    certificate["uniform_value"] = objective_success(uniform)
+    certificate["value_minus_uniform"] = best_value - certificate["uniform_value"]
+    certificate["distance_to_uniform_linf"] = max(
+        abs(w - u) for w, u in zip(best_point.weights, uniform.weights)
+    )
+    method = "nelder-mead-softmax-multistart"
     if used_grid:
         method += "+grid"
 
@@ -492,5 +458,56 @@ def maximize(
         evaluations=evaluations,
         restarts=restarts,
         budget_exhausted=budget_exhausted,
+        certificate=certificate,
+    )
+
+
+def _maximize_avg_fidelity(
+    n: int,
+    seed: int,
+    convention: FailureConvention,
+    mc_samples: int,
+) -> OptimizationReport:
+    """Exact maximum of the average fidelity, cross-checked by Monte Carlo.
+
+    With x_m = sqrt(w_m) the closed form is (2 + x^T A x)/3 on the unit
+    sphere: A has 1/2 on both off-diagonals (the cross term sum_m x_m x_{m-1})
+    and, under ZERO_FIDELITY, -1 at both diagonal ends (the lost boundary
+    outcomes -w_0 - w_n).  The maximum is therefore A's top eigenvector,
+    whose entries share one sign (Perron-Frobenius), so their squares are the
+    optimal weights.
+    """
+    half = np.full(n, 0.5)
+    matrix = np.diag(half, 1) + np.diag(half, -1)
+    if convention is FailureConvention.ZERO_FIDELITY:
+        matrix[0, 0] = matrix[-1, -1] = -1.0
+    _, vectors = np.linalg.eigh(matrix)
+    best_point = SimplexPoint.from_unnormalized(np.abs(vectors[:, -1]) ** 2)
+    best_value = avg_fidelity_closed_form(best_point, convention)
+    mc = objective_avg_fidelity(
+        best_point,
+        samples=mc_samples,
+        seed=seed + 1,
+        convention=convention,
+    )
+    certificate = {
+        "convention": convention.value,
+        "closed_form_at_best": best_value,
+        "uniform_value": avg_fidelity_closed_form(SimplexPoint.uniform(n), convention),
+        "analytic_optimum": optimal_avg_fidelity(n)
+        if convention is FailureConvention.COLLAPSE
+        else None,
+        "mc_estimate": mc.estimate,
+        "mc_std_error": mc.std_error,
+        "mc_samples": mc.samples,
+    }
+    return OptimizationReport(
+        objective="avg_fidelity",
+        best_point=best_point,
+        best_value=best_value,
+        method="tridiagonal-eigenvector",
+        evaluations=1,
+        restarts=0,
+        budget_exhausted=False,
         certificate=certificate,
     )

@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,11 +99,9 @@ class ResourceCoefficients:
 
     @classmethod
     def normalized(cls, values: Iterable[complex]) -> "ResourceCoefficients":
-        vals = [complex(v) for v in values]
-        nrm = math.sqrt(math.fsum(abs(v) ** 2 for v in vals))
-        if nrm == 0.0:
-            raise ValueError("cannot normalize a zero coefficient vector")
-        return cls(tuple(v / nrm for v in vals))
+        return normalize_coefficients(
+            [complex(v) for v in values], renormalize=True
+        )
 
 
 class PatternRecord(NamedTuple):
@@ -428,9 +426,7 @@ def load_coefficients(
 ) -> ResourceCoefficients:
     """Read a coefficient file: ``{"n": int, "c": [[re, im], ...]}``.
 
-    Deviations from unit norm up to ``tol`` are corrected silently (the exact
-    normalization the type requires); larger deviations are rejected unless
-    ``renormalize`` is set.
+    The entries are normalized by :func:`normalize_coefficients`.
     """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict) or "n" in raw and "c" not in raw:
@@ -448,9 +444,28 @@ def load_coefficients(
         if not (isinstance(item, list) and len(item) == 2):
             raise ValueError(f"coefficient entries must be [re, im] pairs, got {item!r}")
         values.append(complex(float(item[0]), float(item[1])))
-    nrm = math.sqrt(math.fsum(abs(v) ** 2 for v in values))
+    return normalize_coefficients(values, renormalize=renormalize, tol=tol)
+
+
+def normalize_coefficients(
+    values: Sequence[complex],
+    *,
+    renormalize: bool = False,
+    tol: float = 1e-9,
+) -> ResourceCoefficients:
+    """Divide coefficients by their norm, the one rule for all coefficient input.
+
+    Deviations from unit norm up to ``tol`` are corrected silently (the exact
+    normalization the type requires); larger deviations are rejected unless
+    ``renormalize`` is set.  A zero vector and a norm that overflows a float
+    are rejected with ``ValueError``.
+    """
+    try:
+        nrm = math.sqrt(math.fsum(abs(v) ** 2 for v in values))
+    except OverflowError:
+        raise ValueError("coefficient norm overflows a float") from None
     if nrm == 0.0:
-        raise ValueError("coefficient vector is zero")
+        raise ValueError("coefficients cannot all be zero")
     if abs(nrm - 1.0) > tol and not renormalize:
         raise ValueError(
             f"coefficients deviate from unit norm by {abs(nrm - 1.0):.3e}; "

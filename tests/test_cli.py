@@ -160,10 +160,6 @@ def test_sweep_header_and_uniform_column(capsys):
         "1",
         "--n-max",
         "3",
-        "--budget",
-        "4000",
-        "--restarts",
-        "2",
         "--samples",
         "20000",
     )
@@ -184,10 +180,6 @@ def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
         "--n-min",
         "1",
         "--n-max",
-        "2",
-        "--budget",
-        "3000",
-        "--restarts",
         "2",
         "--samples",
         "10000",
@@ -246,6 +238,9 @@ def test_module_entry_point_runs():
         ["teleport", "--coeffs", "inline:nan,1"],
         ["teleport", "--coeffs", "inline:inf,1", "--renormalize"],
         ["teleport", "--n", "1", "--qubit", "nan,0+1,0"],
+        ["teleport", "--n", "1", "--qubit", "1e200,0+1e200,0"],
+        ["teleport", "--coeffs", "inline:1e200,1e200", "--renormalize"],
+        ["teleport", "--coeffs", "inline:1e308,1e308", "--squared", "--renormalize"],
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -254,6 +249,19 @@ def test_config_errors_exit_two(capsys, argv):
     assert code == 2
     assert captured.err != ""
     assert captured.out == ""
+
+
+def test_optimize_csv_is_refused_before_the_search(capsys, monkeypatch):
+    import klm_teleport.cli as cli_module
+
+    def explode(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli_module, "maximize", explode)
+    code = main(["optimize", "--objective", "success", "--n", "6", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "JSON only" in captured.err
 
 
 def test_oracle_limit_refusal_names_the_limit(capsys):

@@ -141,12 +141,20 @@ def test_optimal_profile_attains_the_closed_form_optimum():
 
 
 def test_random_points_never_beat_the_optimum():
+    # COLLAPSE is bounded by the sine-profile formula, ZERO_FIDELITY by the
+    # exact solver's own optimum; random points must stay below either.
     rng = np.random.default_rng(71)
-    for n in (2, 4, 6):
-        best = optimal_avg_fidelity(n)
-        for _ in range(1000):
-            value = avg_fidelity_closed_form(SimplexPoint.random(n, rng))
-            assert value <= best + 1e-12
+    for convention in FailureConvention:
+        for n in (2, 4, 6):
+            if convention is FailureConvention.COLLAPSE:
+                best = optimal_avg_fidelity(n)
+            else:
+                best = maximize(
+                    "avg_fidelity", n, convention=convention, mc_samples=10_000
+                ).best_value
+            for _ in range(1000):
+                point = SimplexPoint.random(n, rng)
+                assert avg_fidelity_closed_form(point, convention) <= best + 1e-12
 
 
 def test_maximize_success_hits_uniform():
@@ -166,12 +174,30 @@ def test_maximize_is_seed_deterministic():
     assert first.evaluations == second.evaluations
 
 
-def test_maximize_avg_fidelity_reaches_the_analytic_optimum():
-    report = maximize("avg_fidelity", 2, budget=40_000, seed=0, restarts=8, mc_samples=100_000)
-    assert report.best_value == pytest.approx(optimal_avg_fidelity(2), abs=1e-7)
+def test_maximize_avg_fidelity_reaches_the_analytic_optimum(monkeypatch):
+    import klm_teleport.optimize as optimize_module
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the exact solve must not search")
+
+    monkeypatch.setattr(optimize_module, "minimize", no_search)
+    monkeypatch.setattr(optimize_module, "enumerate_basis", no_search)
+    report = maximize("avg_fidelity", 2, seed=0, mc_samples=100_000)
+    assert report.best_value == pytest.approx(optimal_avg_fidelity(2), abs=1e-15)
     assert report.certificate["analytic_optimum"] == pytest.approx(optimal_avg_fidelity(2))
     assert "mc_estimate" in report.certificate
     assert report.certificate["uniform_value"] == pytest.approx(8 / 9)
+    assert report.method == "tridiagonal-eigenvector"
+    assert (report.evaluations, report.restarts, report.budget_exhausted) == (1, 0, False)
+
+
+def test_maximize_avg_fidelity_matches_the_sine_profile():
+    # The eigenvector solve against the independent sine formula.
+    for n in range(1, 13):
+        report = maximize("avg_fidelity", n, mc_samples=10_000)
+        expected = optimal_fidelity_profile(n).weights
+        np.testing.assert_allclose(report.best_point.weights, expected, rtol=0, atol=1e-12)
+        assert abs(report.best_value - optimal_avg_fidelity(n)) <= 1e-15
 
 
 def test_maximize_respects_tiny_budgets():
@@ -187,6 +213,10 @@ def test_maximize_rejects_bad_arguments():
         maximize("success", 0)
     with pytest.raises(ValueError):
         maximize("success", 2, budget=0)
+    with pytest.raises(ValueError, match="restarts"):
+        maximize("success", 4, restarts=0)
+    with pytest.raises(ValueError, match="samples"):
+        maximize("avg_fidelity", 2, mc_samples=1)
 
 
 def test_maximize_report_dict_shape():

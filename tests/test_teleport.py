@@ -273,6 +273,13 @@ def test_coefficient_file_normalization_policy(tmp_path):
     assert abs(loaded.amplitudes[0]) == pytest.approx(r)
 
 
+def test_coefficient_file_rejects_an_overflowing_norm(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1, "c": [[1e200, 0.0], [1e200, 0.0]]}))
+    with pytest.raises(ValueError, match="overflows"):
+        load_coefficients(path, renormalize=True)
+
+
 @pytest.mark.parametrize(
     "payload",
     [
