@@ -121,6 +121,8 @@ def parse_qubit(text: str | None) -> QubitAmplitudes:
             seed = int(text[len("random:") :])
         except ValueError:
             raise ConfigError(f"bad random qubit seed in {text!r}") from None
+        if seed < 0:
+            raise ConfigError(f"random qubit seed must be nonnegative, got {text!r}")
         return QubitAmplitudes.haar_random(np.random.default_rng(seed))
     halves = text.split("+", 1)
     if len(halves) != 2:
@@ -338,15 +340,18 @@ def cmd_optimize(args: argparse.Namespace) -> str:
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
     convention = FailureConvention(args.convention)
-    report = maximize(
-        _OBJECTIVE_NAMES[args.objective],
-        args.n,
-        budget=args.budget,
-        seed=args.seed,
-        restarts=args.restarts,
-        convention=convention,
-        mc_samples=args.samples,
-    )
+    try:
+        report = maximize(
+            _OBJECTIVE_NAMES[args.objective],
+            args.n,
+            budget=args.budget,
+            seed=args.seed,
+            restarts=args.restarts,
+            convention=convention,
+            mc_samples=args.samples,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"cannot optimize: {exc}") from None
     payload = report.as_dict()
     if args.objective == "success":
         payload["uniform_reference"] = args.n / (args.n + 1)
@@ -366,9 +371,12 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     for n in range(args.n_min, args.n_max + 1):
         uniform_rc = ResourceCoefficients.uniform(n)
         uniform_point = SimplexPoint.uniform(n)
-        report = maximize(
-            "avg_fidelity", n, seed=args.seed + n, mc_samples=args.samples
-        )
+        try:
+            report = maximize(
+                "avg_fidelity", n, seed=args.seed + n, mc_samples=args.samples
+            )
+        except ValueError as exc:
+            raise ConfigError(f"cannot optimize n={n}: {exc}") from None
         rows.append(
             {
                 "n": n,
@@ -520,6 +528,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OracleMismatchError as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
+        return 3
+    except RuntimeError as exc:
+        # Any other failed internal check, such as a normalization drift.
+        print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
     _emit(text, args.out)
     return 0

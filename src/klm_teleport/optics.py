@@ -1,24 +1,32 @@
-"""Mode-space unitaries acting on photon-number states via matrix permanents.
+"""Mode-space unitaries acting on photon-number states.
 
 Convention: a mode unitary U maps the creation operator of mode k to
 sum_l U[l, k] * (creation operator of mode l).  A single photon therefore
-transforms by plain matrix-vector multiplication with U, and a general
-transition amplitude is
+transforms by plain matrix-vector multiplication with U.
+
+Two independent routes evaluate the same physics.  ``apply`` evolves a whole
+state by expanding prod_k (sum_l U[l, k] a_l^dag)^{S_k} one photon at a time,
+skipping zero entries of U, so a mode on which U is the identity passes
+through as a single exact term.  ``transition_amplitude`` evaluates one
+matrix element as a permanent,
 
     <T| U |S> = per(U[S, T]) / sqrt(prod(S_i!) * prod(T_l!))
 
-where U[S, T] repeats column k S_k times and row l T_l times.
+where U[S, T] repeats column k S_k times and row l T_l times (Scheel,
+quant-ph/0406127).  Permanents serve only ``transition_amplitude`` and
+``permanent``: the phase derivation and the tests, never the simulation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .fock import Occupation, PRUNE_EPS, PureState, _compositions
+from .fock import Occupation, PureState
 
 #: Tolerance for the unitarity check on construction.
 UNITARY_TOL = 1e-12
@@ -50,8 +58,13 @@ class ModeUnitary:
         return self.matrix.shape[0]
 
 
+@lru_cache(maxsize=64)
 def fourier_unitary(points: int) -> ModeUnitary:
-    """Discrete-Fourier mode transform: entry (l, k) = exp(2*pi*i*k*l/points)/sqrt(points)."""
+    """Discrete-Fourier mode transform: entry (l, k) = exp(2*pi*i*k*l/points)/sqrt(points).
+
+    Cached: a ``ModeUnitary`` is frozen and its matrix read-only, so every
+    caller can share one verified instance per size.
+    """
     if points < 1:
         raise ValueError(f"point count must be positive, got {points}")
     idx = np.arange(points)
@@ -86,11 +99,6 @@ def _permanent_rows(rows: list[list[complex]]) -> complex:
         return 1 + 0j
     if k == 1:
         return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] + rows[0][1] * rows[1][0]
-    if k == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
     cols = list(zip(*rows))
     sums = [0j] * k
     total = 0j
@@ -152,30 +160,15 @@ def transition_amplitude(u: ModeUnitary, source: Occupation, target: Occupation)
     return complex(_permanent_rows(sub)) / math.sqrt(fact)
 
 
-def _non_identity_modes(mat: np.ndarray) -> tuple[int, ...]:
-    """Modes on which the matrix differs from the identity (exact comparison)."""
-    dim = mat.shape[0]
-    active = []
-    for k in range(dim):
-        if mat[k, k] != 1.0:
-            active.append(k)
-            continue
-        row = mat[k].copy()
-        col = mat[:, k].copy()
-        row[k] = 0.0
-        col[k] = 0.0
-        if np.any(row) or np.any(col):
-            active.append(k)
-    return tuple(active)
-
-
 def apply(u: ModeUnitary, state: PureState) -> PureState:
     """Evolve a photon-number state through a mode unitary.
 
-    Photon number is conserved; amplitudes below the pruning threshold are
-    dropped from the result.  Modes on which the unitary acts as the exact
-    identity are passed through without enumeration, which makes embedded
-    small unitaries cheap on wide states.
+    Each source term |S> = prod_k (a_k^dag)^{S_k} / sqrt(prod S_k!) |0> is
+    multiplied out photon by photon, adding U[l, k] times the running
+    coefficient for every nonzero entry of column k; a monomial
+    prod_l (a_l^dag)^{T_l} then contributes sqrt(prod T_l! / prod S_k!) to the
+    amplitude of |T>.  Photon number is conserved; amplitudes below the
+    pruning threshold are dropped from the result.
     """
     if u.dimension != state.mode_count:
         raise ValueError(
@@ -183,39 +176,33 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
         )
     state.require_normalized()
     mat = u.matrix
-    active = _non_identity_modes(mat)
-    if not active:
-        return state.pruned()
-
+    columns = [
+        [(int(l), complex(mat[l, k])) for l in np.flatnonzero(mat[:, k])]
+        for k in range(u.dimension)
+    ]
+    # Sparsest columns first: spectator photons are placed while the
+    # expansion is still a single term.
+    order = sorted(range(u.dimension), key=lambda k: len(columns[k]))
+    vacuum = (0,) * state.mode_count
     out: dict[Occupation, complex] = {}
     for occ, amp in state.amplitudes.items():
-        src = tuple(occ[k] for k in active)
-        photons = sum(src)
-        cols = [k for pos, k in enumerate(active) for _ in range(src[pos])]
+        monomials = {vacuum: amp}
         src_fact = 1
-        for k in src:
-            src_fact *= _FACTORIAL[k]
-        base = list(occ)
-        for tgt in _compositions(len(active), photons):
-            rows = [l for pos, l in enumerate(active) for _ in range(tgt[pos])]
-            sub = [[mat[r, c] for c in cols] for r in rows]
-            skip = False
-            for row in sub:
-                if not any(row):
-                    skip = True
-                    break
-            if skip:
-                continue
-            value = _permanent_rows(sub)
-            if value == 0:
-                continue
+        for k in order:
+            count = occ[k]
+            src_fact *= _FACTORIAL[count]
+            for _ in range(count):
+                grown: dict[Occupation, complex] = {}
+                for mono, coeff in monomials.items():
+                    for l, entry in columns[k]:
+                        key = mono[:l] + (mono[l] + 1,) + mono[l + 1 :]
+                        grown[key] = grown.get(key, 0j) + coeff * entry
+                monomials = grown
+        for key, coeff in monomials.items():
             tgt_fact = 1
-            for k in tgt:
-                tgt_fact *= _FACTORIAL[k]
-            for pos, k in enumerate(active):
-                base[k] = tgt[pos]
-            key = tuple(base)
-            out[key] = out.get(key, 0j) + amp * value / math.sqrt(src_fact * tgt_fact)
+            for t in key:
+                tgt_fact *= _FACTORIAL[t]
+            out[key] = out.get(key, 0j) + coeff * math.sqrt(tgt_fact / src_fact)
 
     result = PureState.from_terms(state.mode_count, out)
     drift = abs(result.norm() - 1.0)

@@ -36,6 +36,8 @@ from .teleport import OracleMismatchError, ResourceCoefficients, run_analytic
 GRID_RESOLUTION = 20
 #: Largest n whose simplex grid is enumerated exhaustively.
 GRID_LIMIT = 3
+#: Probability that the Monte-Carlo cross-check rejects a correct closed form.
+MC_FALSE_ALARM = 1e-9
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,12 @@ def objective_avg_fidelity(
 
     Draws input qubits as four standard normals each, evaluates the
     per-sample fidelity from the outcome law, and insists the estimate agree
-    with the closed form within three standard errors; disagreement raises
-    OracleMismatchError, since one of the two routes must then be wrong.
+    with the closed form within the empirical-Bernstein bound of Maurer &
+    Pontil (COLT 2009, Theorem 4), which holds for samples in [0, 1] as every
+    per-sample fidelity is.  Applied to both tails, a correct closed form
+    fails the check with probability at most MC_FALSE_ALARM = 1e-9;
+    disagreement raises OracleMismatchError, since one of the two routes must
+    then be wrong.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -208,10 +214,16 @@ def objective_avg_fidelity(
     second = math.fsum(square_sums) / samples
     variance = max(0.0, second - mean * mean)
     std_error = math.sqrt(variance / samples)
-    if abs(mean - closed) > 3.0 * std_error + 1e-12:
+    log_term = math.log(4.0 / MC_FALSE_ALARM)
+    sample_variance = variance * samples / (samples - 1)
+    bound = math.sqrt(2.0 * sample_variance * log_term / samples) + 7.0 * log_term / (
+        3.0 * (samples - 1)
+    )
+    if abs(mean - closed) > bound:
         raise OracleMismatchError(
-            f"sampled average fidelity {mean!r} is more than three standard errors "
-            f"({std_error:.3e}) from the closed form {closed!r}"
+            f"sampled average fidelity {mean!r} is {abs(mean - closed):.3e} from the "
+            f"closed form {closed!r}, beyond the empirical-Bernstein bound {bound:.3e} "
+            f"at false-alarm probability {MC_FALSE_ALARM:g}"
         )
     return AvgFidelityEstimate(mean, std_error, closed, samples)
 
@@ -346,7 +358,9 @@ def maximize(
     :func:`_maximize_avg_fidelity`).  For ``success``, ``budget`` caps total
     objective evaluations across the grid sweep, the seeded restarts, and the
     polish rounds; exhausting it sets ``budget_exhausted`` and returns the
-    incumbent.
+    incumbent.  Raises ``ValueError`` before any work for invalid arguments,
+    including a success budget of at most n + 2 when n > GRID_LIMIT, which
+    leaves no grid and no Nelder-Mead stage to produce a candidate.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
@@ -360,6 +374,11 @@ def maximize(
         raise ValueError(f"need at least two Monte Carlo samples, got {mc_samples}")
     if objective == "avg_fidelity":
         return _maximize_avg_fidelity(n, seed, convention, mc_samples)
+    if n > GRID_LIMIT and budget <= n + 2:
+        raise ValueError(
+            f"budget {budget} leaves no Nelder-Mead stage for n={n} "
+            f"(needs more than n + 2 = {n + 2} evaluations)"
+        )
 
     evaluations = 0
     budget_exhausted = False

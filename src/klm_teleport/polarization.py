@@ -26,12 +26,13 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .fock import Occupation, PureState, QubitAmplitudes, measure_photon_counts, tensor
-from .optics import ModeUnitary, apply, embed, fourier_unitary
+from .optics import ModeUnitary, apply, embed, fourier_unitary, transition_amplitude
 from .teleport import (
     ORACLE_TOL,
     OracleMismatchError,
     ResourceCoefficients,
     TeleportOutcome,
+    align_branches,
     reconcile_outcomes,
 )
 
@@ -263,8 +264,9 @@ def run_oracle_polarization(
     Applies the doubled Fourier transform (same matrix on the horizontal and
     vertical slot blocks of rails 0..n), counts photons in every measured
     slot, groups patterns by their vertical total, and hands them to
-    :func:`reconcile_outcomes`.  The corrective phase is the one that aligns
-    the simulated H/V amplitudes with the law's (alpha c_m, beta c_{m-1}).
+    :func:`reconcile_outcomes`.  The corrective phase comes from two single
+    transition amplitudes through the doubled transform (see
+    :func:`_polarized_branch_sources`), never from the simulated amplitudes.
     """
     n = rc.n
     if n > limit:
@@ -280,7 +282,8 @@ def run_oracle_polarization(
     doubled[n + 1 :, n + 1 :] = fourier
     h_slots = tuple(slot_index(mode, HORIZONTAL) for mode in range(n + 1))
     v_slots = tuple(slot_index(mode, VERTICAL) for mode in range(n + 1))
-    transform = embed(ModeUnitary(doubled), h_slots + v_slots, total_slots)
+    block = ModeUnitary(doubled)
+    transform = embed(block, h_slots + v_slots, total_slots)
     evolved = apply(transform, state)
     measured = measure_photon_counts(evolved, range(2 * (n + 1)))
 
@@ -292,15 +295,33 @@ def run_oracle_polarization(
         m = sum(pattern[1::2])
         return m, _spectator_occupations(n, m)
 
-    def phase_of(pattern: Occupation, m: int, amp_h: complex, amp_v: complex) -> complex:
-        target = qubit.beta * rc.at(m - 1)
-        source = qubit.alpha * rc.at(m)
-        if abs(amp_v) < 1e-13 or target == 0 or source == 0 or abs(amp_h) < 1e-13:
+    def phase_of(pattern: Occupation, m: int) -> complex:
+        if qubit.alpha == 0 or qubit.beta == 0 or rc.at(m) == 0 or rc.at(m - 1) == 0:
             return 1 + 0j
-        ratio = (amp_h * target) / (amp_v * source)
-        return ratio / abs(ratio)
+        # Block order of the doubled transform: horizontal slots, then vertical.
+        detected = pattern[0::2] + pattern[1::2]
+        source_h, source_v = _polarized_branch_sources(n, m)
+        return align_branches(
+            pattern,
+            transition_amplitude(block, source_h, detected),
+            transition_amplitude(block, source_v, detected),
+        )
 
     return reconcile_outcomes(rc, qubit, measured, read, phase_of, tol)
+
+
+def _polarized_branch_sources(n: int, m: int) -> tuple[Occupation, Occupation]:
+    """Measured-rail occupations feeding the doubled transform for the two branches.
+
+    Block order: horizontal slots of rails 0..n, then their vertical slots;
+    every rail holds one photon, so the vertical half complements the
+    horizontal one.  Logical H: input rail 0 horizontal plus resource term m,
+    which polarizes rails 1..m vertically.  Logical V: input rail 0 vertical
+    plus resource term m-1, vertical on rails 1..m-1.
+    """
+    logical_h = (1,) + (0,) * m + (1,) * (n - m)
+    logical_v = (0,) * m + (1,) * (n - m + 1)
+    return tuple(h + tuple(1 - x for x in h) for h in (logical_h, logical_v))
 
 
 def _spectator_occupations(n: int, m: int) -> tuple[Occupation, ...]:

@@ -210,16 +210,28 @@ def derive_phase_correction(
         return 1 + 0j
     transform = fourier_unitary(n + 1)
     src_vacuum, src_photon = _branch_sources(n, m)
-    amp_vacuum = transition_amplitude(transform, src_vacuum, pattern)
-    amp_photon = transition_amplitude(transform, src_photon, pattern)
-    if abs(amp_vacuum) < 1e-14 and abs(amp_photon) < 1e-14:
+    return align_branches(
+        pattern,
+        transition_amplitude(transform, src_vacuum, pattern),
+        transition_amplitude(transform, src_photon, pattern),
+    )
+
+
+def align_branches(pattern: Occupation, amp_zero: complex, amp_one: complex) -> complex:
+    """Unit factor amp_zero/amp_one from the two logical branches' transition amplitudes.
+
+    The branches must reach ``pattern`` with equal magnitude (raises
+    OracleMismatchError otherwise) and not both with zero amplitude (raises
+    ValueError).
+    """
+    if abs(amp_zero) < 1e-14 and abs(amp_one) < 1e-14:
         raise ValueError(f"pattern {pattern} has zero probability")
-    if abs(abs(amp_vacuum) - abs(amp_photon)) > 1e-10:
+    if abs(abs(amp_zero) - abs(amp_one)) > 1e-10:
         raise OracleMismatchError(
             f"branch magnitudes differ on pattern {pattern}: "
-            f"{abs(amp_vacuum):.3e} vs {abs(amp_photon):.3e}"
+            f"{abs(amp_zero):.3e} vs {abs(amp_one):.3e}"
         )
-    ratio = amp_vacuum / amp_photon
+    ratio = amp_zero / amp_one
     return ratio / abs(ratio)
 
 
@@ -248,7 +260,7 @@ def reconcile_outcomes(
     qubit: QubitAmplitudes,
     measured: Iterable[MeasurementOutcome],
     read: Callable[[Occupation, PureState, float], tuple[int, tuple[Occupation, ...]]],
-    phase_of: Callable[[Occupation, int, complex, complex], complex],
+    phase_of: Callable[[Occupation, int], complex],
     tol: float = ORACLE_TOL,
 ) -> list[TeleportOutcome]:
     """Check simulated detection patterns against the outcome law and aggregate by m.
@@ -258,8 +270,9 @@ def reconcile_outcomes(
     and the occupations the conditional state may hold (the lone spectator
     occupation of a failure, or the logical-zero and logical-one occupations
     of a success) and raises OracleMismatchError for a pattern the encoding
-    cannot produce; and ``phase_of(pattern, m, amp0, amp1)``, the unit factor
-    on the logical-one amplitude of a success pattern.
+    cannot produce; and ``phase_of(pattern, m)``, the unit factor on the
+    logical-one amplitude of a success pattern, which sees only the pattern
+    so that it cannot borrow the phase from the simulation it checks.
 
     Every failure pattern may leave only its spectator occupation.  Every
     success pattern may hold weight only on its two logical occupations, whose
@@ -310,7 +323,7 @@ def reconcile_outcomes(
                 f"differ from the law ({expected0:.12f}, {expected1:.12f})"
             )
 
-        phase = phase_of(pattern, m, amp0, amp1)
+        phase = phase_of(pattern, m)
         fidelity = float("nan")
         if law.conditional_qubit is not None and (amp0 != 0 or amp1 != 0):
             corrected = QubitAmplitudes.from_unnormalized(amp0, amp1 * phase)
@@ -395,7 +408,7 @@ def run_oracle(
             raise OracleMismatchError(f"conditional state for pattern {pattern} does not factorize")
         return m, _number_branches(n, m)
 
-    def phase_of(pattern: Occupation, m: int, amp0: complex, amp1: complex) -> complex:
+    def phase_of(pattern: Occupation, m: int) -> complex:
         return derive_phase_correction(pattern, m, rc, qubit)
 
     return reconcile_outcomes(rc, qubit, measured, read, phase_of, tol)

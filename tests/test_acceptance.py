@@ -28,6 +28,7 @@ from klm_teleport import (
     permanent,
     run_analytic,
     run_oracle,
+    run_oracle_polarization,
     teleported_state,
 )
 
@@ -72,18 +73,24 @@ def test_uniform_success_probability():
 def test_fock_oracle_equivalence():
     # The exact multiphoton simulation reproduces the analytic outcome law:
     # aggregated probabilities and phase-corrected conditional qubits agree.
+    # Both encodings run beyond their default limits, which are passed explicitly.
     with criterion("fock-oracle-equivalence", 120.0) as info:
         rng = np.random.default_rng(101)
         worst = 0.0
-        for n in range(1, 5):
-            for _ in range(20):
+        runs = [(run_oracle, n, 4, 20) for n in range(1, 5)]
+        runs.append((run_oracle, 5, 5, 10))
+        runs += [(run_oracle_polarization, n, 4, 10) for n in range(1, 5)]
+        for oracle_of, n, limit, count in runs:
+            for _ in range(count):
                 rc = random_coefficients(n, rng)
                 qubit = random_qubit(rng)
                 analytic = run_analytic(rc, qubit)
-                oracle = run_oracle(rc, qubit)
+                oracle = oracle_of(rc, qubit, limit=limit)
                 worst = max(worst, oracle_deviation(analytic, oracle))
         assert worst < 1e-10
-        info["detail"] = f"max deviation {worst:.2e} over 80 runs, n=1..4"
+        info["detail"] = (
+            f"max deviation {worst:.2e} over 130 runs: number n=1..5, polarization n=1..4"
+        )
 
 
 def test_extrema_closed_form():

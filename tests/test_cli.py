@@ -1,11 +1,15 @@
 """Command-line interface: exact example outputs, exit codes, and serialization."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klm_teleport import OracleMismatchError
 from klm_teleport.cli import (
@@ -241,6 +245,9 @@ def test_module_entry_point_runs():
         ["teleport", "--n", "1", "--qubit", "1e200,0+1e200,0"],
         ["teleport", "--coeffs", "inline:1e200,1e200", "--renormalize"],
         ["teleport", "--coeffs", "inline:1e308,1e308", "--squared", "--renormalize"],
+        ["optimize", "--objective", "success", "--n", "4", "--budget", "5"],
+        ["optimize", "--objective", "success", "--n", "4", "--seed", "-1"],
+        ["teleport", "--n", "1", "--qubit", "random:-1"],
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -282,6 +289,122 @@ def test_oracle_mismatch_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3
     assert "disagreement" in captured.err
+
+
+def test_failed_internal_check_exits_three(capsys, monkeypatch):
+    import klm_teleport.teleport as teleport_module
+
+    def drift(*args, **kwargs):
+        raise RuntimeError("unitary application lost normalization (drift 1e-09)")
+
+    monkeypatch.setattr(teleport_module, "apply", drift)
+    code = main(["teleport", "--n", "1", "--coeffs", "uniform", "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "normalization" in captured.err
+    assert captured.out == ""
+
+
+def test_few_monte_carlo_samples_raise_no_false_alarm(capsys):
+    code, out, err = run_cli(capsys, "optimize", "--objective", "avgfid", "--n", "3", "--samples", "3")
+    assert code == 0, err
+    assert json.loads(out)["certificate"]["mc_samples"] == 3
+
+
+#: Numeric values every numeric option of the fuzzed grammar may take.
+_HOSTILE = ["nan", "inf", "-1", "0", "1e308"]
+
+
+def _numbers(*usual):
+    return st.one_of(st.sampled_from([str(v) for v in usual]), st.sampled_from(_HOSTILE))
+
+
+def _maybe(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+_COEFFS = st.one_of(
+    st.just("uniform"),
+    st.lists(_numbers(1, 0.5, 2), min_size=1, max_size=5).map(
+        lambda values: "inline:" + ",".join(values)
+    ),
+)
+_QUBITS = st.one_of(
+    st.sampled_from(["random:3", "random:-1", "random:1e308"]),
+    st.lists(_numbers(0.6, 1), min_size=4, max_size=4).map(
+        lambda v: f"{v[0]},{v[1]}+{v[2]},{v[3]}"
+    ),
+)
+_FORMAT = _maybe("--format", st.sampled_from(["json", "csv"]))
+_SEED = _maybe("--seed", _numbers(7))
+_N = _numbers(1, 2, 3, 4)
+_SAMPLES = _numbers(2, 3, 1000)
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda chunks: [word for chunk in chunks for word in chunk])
+
+
+_ARGV = st.one_of(
+    _argv(
+        st.just(["teleport"]),
+        _maybe("--n", _N),
+        _maybe("--coeffs", _COEFFS),
+        _switch("--squared"),
+        _switch("--renormalize"),
+        _maybe("--qubit", _QUBITS),
+        _switch("--oracle"),
+        _maybe("--oracle-limit", _numbers(4)),
+        _maybe("--oracle-tol", _numbers("1e-10")),
+        _FORMAT,
+        _SEED,
+    ),
+    _argv(
+        st.just(["psuccess"]),
+        _maybe("--n", _N),
+        _maybe("--coeffs", _COEFFS),
+        _switch("--squared"),
+        _switch("--renormalize"),
+        _FORMAT,
+    ),
+    _argv(
+        st.just(["optimize"]),
+        _maybe("--objective", st.sampled_from(["success", "avgfid"])),
+        _maybe("--n", _N),
+        st.tuples(st.just("--budget"), _numbers(5, 6, 300)).map(list),
+        _maybe("--restarts", _numbers(2)),
+        st.tuples(st.just("--samples"), _SAMPLES).map(list),
+        _maybe("--convention", st.sampled_from(["collapse", "zero_fidelity"])),
+        _FORMAT,
+        _SEED,
+    ),
+    _argv(
+        st.just(["sweep"]),
+        _maybe("--n-min", _numbers(1, 2)),
+        st.tuples(st.just("--n-max"), _numbers(2, 4)).map(list),
+        st.tuples(st.just("--samples"), _SAMPLES).map(list),
+        _FORMAT,
+        _SEED,
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ARGV)
+def test_exit_codes_are_a_total_contract(argv):
+    # Bounded so every draw runs fast: n <= 4, budget <= 300, samples <= 1000.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the syntax
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_parse_qubit_defaults_and_normalization():

@@ -7,18 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import klm_teleport.optics as optics_module
 from klm_teleport import (
+    HORIZONTAL,
+    VERTICAL,
     ModeUnitary,
     PureState,
     apply,
+    build_polarized_resource,
+    build_resource_state,
     embed,
     enumerate_basis,
     fourier_unitary,
     permanent,
+    slot_index,
+    tensor,
     transition_amplitude,
 )
 
-from helpers import naive_permanent, random_state, random_unitary
+from helpers import (
+    naive_permanent,
+    random_coefficients,
+    random_qubit,
+    random_state,
+    random_unitary,
+)
 
 
 @pytest.mark.parametrize("points", [1, 2, 3, 4, 5, 6])
@@ -162,6 +175,91 @@ def test_apply_identity_returns_same_amplitudes():
     state = random_state(3, 2, rng)
     evolved = apply(ModeUnitary(np.eye(3)), state)
     assert evolved.amplitudes == state.amplitudes
+
+
+def _elementwise(u, state, block):
+    """sum_S amp_S <T|U|S> by permanents, for every T that keeps a source's
+    occupation off ``block`` (U is the identity there)."""
+    targets = set()
+    for src in state.amplitudes:
+        for inner in enumerate_basis(len(block), sum(src[k] for k in block)):
+            occ = list(src)
+            for k, count in zip(block, inner):
+                occ[k] = count
+            targets.add(tuple(occ))
+    return {
+        target: sum(
+            amp * transition_amplitude(u, src, target) for src, amp in state.amplitudes.items()
+        )
+        for target in targets
+    }
+
+
+def _assert_matches(evolved, expected):
+    assert set(evolved.amplitudes) <= set(expected)
+    for target, value in expected.items():
+        assert evolved.amplitude(target) == pytest.approx(value, abs=1e-12)
+
+
+def test_apply_matches_transition_amplitudes_on_an_embedded_block():
+    # 3 photons on a random 4-mode block, 2 more spread over the spectators.
+    rng = np.random.default_rng(89)
+    block = (1, 2, 4, 6)
+    spectators = (0, 3, 5)
+    u = embed(ModeUnitary(random_unitary(4, rng)), block, 7)
+    terms = {}
+    for _ in range(12):
+        occ = [0] * 7
+        for k, count in zip(block, rng.multinomial(3, [0.25] * 4)):
+            occ[k] = int(count)
+        for k, count in zip(spectators, rng.multinomial(2, [1 / 3] * 3)):
+            occ[k] = int(count)
+        terms[tuple(occ)] = complex(rng.standard_normal(), rng.standard_normal())
+    state = PureState.from_terms(7, terms).normalized()
+    _assert_matches(apply(u, state), _elementwise(u, state, block))
+
+
+def test_apply_moves_photons_along_a_permutation():
+    # U[l, k] = 1 for l = k + 1 (mod 3): every photon moves one mode on.
+    shift = ModeUnitary(np.roll(np.eye(3), 1, axis=0))
+    state = PureState.from_terms(3, {(2, 1, 0): 0.6, (0, 0, 3): 0.8j})
+    assert apply(shift, state).amplitudes == {(0, 2, 1): 0.6, (3, 0, 0): 0.8j}
+
+
+def _number_oracle_input(n, rng):
+    qubit = random_qubit(rng)
+    state = tensor(
+        PureState.from_terms(1, {(0,): qubit.alpha, (1,): qubit.beta}),
+        build_resource_state(random_coefficients(n, rng)),
+    )
+    block = tuple(range(n + 1))
+    return embed(fourier_unitary(n + 1), block, 2 * n + 1), state, block
+
+
+def _polarization_oracle_input(n, rng):
+    qubit = random_qubit(rng)
+    state = tensor(
+        PureState.from_terms(2, {(1, 0): qubit.alpha, (0, 1): qubit.beta}),
+        build_polarized_resource(random_coefficients(n, rng)).state,
+    )
+    block = tuple(slot_index(rail, HORIZONTAL) for rail in range(n + 1)) + tuple(
+        slot_index(rail, VERTICAL) for rail in range(n + 1)
+    )
+    doubled = np.kron(np.eye(2), fourier_unitary(n + 1).matrix)
+    return embed(ModeUnitary(doubled), block, 2 * (2 * n + 1)), state, block
+
+
+def test_apply_evolves_oracle_inputs_without_permanents(monkeypatch):
+    rng = np.random.default_rng(144)
+    cases = [_number_oracle_input(3, rng), _polarization_oracle_input(2, rng)]
+    expected = [_elementwise(u, state, block) for u, state, block in cases]
+
+    def no_permanents(rows):
+        raise AssertionError("apply evaluated a permanent")
+
+    monkeypatch.setattr(optics_module, "_permanent_rows", no_permanents)
+    for (u, state, _), values in zip(cases, expected):
+        _assert_matches(apply(u, state), values)
 
 
 def test_apply_requires_matching_dimension_and_normalization():

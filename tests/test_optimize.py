@@ -8,6 +8,7 @@ import pytest
 from klm_teleport import (
     AvgFidelityEstimate,
     FailureConvention,
+    OracleMismatchError,
     QubitAmplitudes,
     SimplexPoint,
     adjacent_minima_sum,
@@ -130,6 +131,22 @@ def test_objective_avg_fidelity_zero_fidelity_convention():
     assert abs(estimate.estimate - estimate.closed_form) <= 3 * estimate.std_error + 1e-12
 
 
+@pytest.mark.parametrize("convention", list(FailureConvention))
+def test_monte_carlo_check_catches_a_perturbed_closed_form(monkeypatch, convention):
+    import klm_teleport.optimize as optimize_module
+
+    exact = optimize_module.avg_fidelity_closed_form
+    monkeypatch.setattr(
+        optimize_module,
+        "avg_fidelity_closed_form",
+        lambda point, conv=FailureConvention.COLLAPSE: exact(point, conv) + 1e-3,
+    )
+    with pytest.raises(OracleMismatchError, match="1e-09"):
+        objective_avg_fidelity(
+            optimal_fidelity_profile(3), samples=1_000_000, seed=2, convention=convention
+        )
+
+
 def test_optimal_profile_attains_the_closed_form_optimum():
     for n in range(1, 9):
         profile = optimal_fidelity_profile(n)
@@ -217,6 +234,8 @@ def test_maximize_rejects_bad_arguments():
         maximize("success", 4, restarts=0)
     with pytest.raises(ValueError, match="samples"):
         maximize("avg_fidelity", 2, mc_samples=1)
+    with pytest.raises(ValueError, match="budget 6"):
+        maximize("success", 4, budget=6)
 
 
 def test_maximize_report_dict_shape():

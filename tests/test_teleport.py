@@ -211,6 +211,15 @@ def _rotate_logical_one(conditional, m):
     )
 
 
+def _rotate_logical_v(conditional, m):
+    # The polarization encoding leaves the qubit on back rail m - 1; logical
+    # one is its vertical slot.
+    return PureState(
+        conditional.mode_count,
+        {occ: amp * 1j if occ[2 * m - 1] else amp for occ, amp in conditional.amplitudes.items()},
+    )
+
+
 #: module whose measurement is corrupted, its oracle, and how it reads m from a pattern
 ENCODINGS = {
     "number": (teleport_module, run_oracle, sum),
@@ -226,6 +235,7 @@ ENCODINGS = {
         ("number", _swap_branches, "magnitudes"),
         ("polarization", _swap_branches, "magnitudes"),
         ("number", _rotate_logical_one, "corrected fidelity"),
+        ("polarization", _rotate_logical_v, "corrected fidelity"),
     ],
 )
 def test_oracles_catch_a_corrupted_pattern(monkeypatch, encoding, corrupt, message):
