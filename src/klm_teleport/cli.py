@@ -225,7 +225,10 @@ def _emit(text: str, out_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out_path).write_text(text if text.endswith("\n") else text + "\n")
+        try:
+            Path(out_path).write_text(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out_path!r}: {exc}") from None
 
 
 def cmd_teleport(args: argparse.Namespace) -> str:
@@ -522,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.run(args)
+        _emit(args.run(args), args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -533,5 +536,4 @@ def main(argv: list[str] | None = None) -> int:
         # Any other failed internal check, such as a normalization drift.
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
-    _emit(text, args.out)
     return 0

@@ -14,14 +14,20 @@ matrix element as a permanent,
 
 where U[S, T] repeats column k S_k times and row l T_l times (Scheel,
 quant-ph/0406127).  Permanents serve only ``transition_amplitude`` and
-``permanent``: the phase derivation and the tests, never the simulation.
+``permanent``, which the tests use as the reference for ``apply`` and for
+the oracles' corrective phase.
+
+That phase needs no permanent.  The N-point Fourier transform satisfies
+U[l, k+1 mod N] = omega^l U[l, k] with omega = exp(2*pi*i/N), so shifting
+every source photon by one mode multiplies row l of the permanent by
+omega^l: two sources a cyclic shift apart reach |T> with equal magnitude and
+relative phase omega^(sum_l l*T_l) (``teleport.fourier_phase``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -58,13 +64,8 @@ class ModeUnitary:
         return self.matrix.shape[0]
 
 
-@lru_cache(maxsize=64)
 def fourier_unitary(points: int) -> ModeUnitary:
-    """Discrete-Fourier mode transform: entry (l, k) = exp(2*pi*i*k*l/points)/sqrt(points).
-
-    Cached: a ``ModeUnitary`` is frozen and its matrix read-only, so every
-    caller can share one verified instance per size.
-    """
+    """Discrete-Fourier mode transform: entry (l, k) = exp(2*pi*i*k*l/points)/sqrt(points)."""
     if points < 1:
         raise ValueError(f"point count must be positive, got {points}")
     idx = np.arange(points)

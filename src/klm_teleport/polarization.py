@@ -26,13 +26,13 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .fock import Occupation, PureState, QubitAmplitudes, measure_photon_counts, tensor
-from .optics import ModeUnitary, apply, embed, fourier_unitary, transition_amplitude
+from .optics import ModeUnitary, apply, embed, fourier_unitary
 from .teleport import (
     ORACLE_TOL,
     OracleMismatchError,
     ResourceCoefficients,
     TeleportOutcome,
-    align_branches,
+    fourier_phase,
     reconcile_outcomes,
 )
 
@@ -264,9 +264,14 @@ def run_oracle_polarization(
     Applies the doubled Fourier transform (same matrix on the horizontal and
     vertical slot blocks of rails 0..n), counts photons in every measured
     slot, groups patterns by their vertical total, and hands them to
-    :func:`reconcile_outcomes`.  The corrective phase comes from two single
-    transition amplitudes through the doubled transform (see
-    :func:`_polarized_branch_sources`), never from the simulated amplitudes.
+    :func:`reconcile_outcomes`.  The corrective phase is a formula of the
+    pattern, never read from the simulated amplitudes.  Logical H enters the
+    horizontal block on rails {0, m+1..n} and the vertical block on rails
+    1..m; logical V enters on rails m..n and 0..m-1.  In each block the
+    logical-H sources are the logical-V sources shifted cyclically by one, so
+    each block contributes omega^(sum_l l*count_l) (see
+    :func:`fourier_phase`) and the phase is ``fourier_phase`` of the per-rail
+    totals h_l + v_l.
     """
     n = rc.n
     if n > limit:
@@ -282,8 +287,7 @@ def run_oracle_polarization(
     doubled[n + 1 :, n + 1 :] = fourier
     h_slots = tuple(slot_index(mode, HORIZONTAL) for mode in range(n + 1))
     v_slots = tuple(slot_index(mode, VERTICAL) for mode in range(n + 1))
-    block = ModeUnitary(doubled)
-    transform = embed(block, h_slots + v_slots, total_slots)
+    transform = embed(ModeUnitary(doubled), h_slots + v_slots, total_slots)
     evolved = apply(transform, state)
     measured = measure_photon_counts(evolved, range(2 * (n + 1)))
 
@@ -298,30 +302,10 @@ def run_oracle_polarization(
     def phase_of(pattern: Occupation, m: int) -> complex:
         if qubit.alpha == 0 or qubit.beta == 0 or rc.at(m) == 0 or rc.at(m - 1) == 0:
             return 1 + 0j
-        # Block order of the doubled transform: horizontal slots, then vertical.
-        detected = pattern[0::2] + pattern[1::2]
-        source_h, source_v = _polarized_branch_sources(n, m)
-        return align_branches(
-            pattern,
-            transition_amplitude(block, source_h, detected),
-            transition_amplitude(block, source_v, detected),
-        )
+        rail_totals = tuple(h + v for h, v in zip(pattern[0::2], pattern[1::2]))
+        return fourier_phase(rail_totals)
 
     return reconcile_outcomes(rc, qubit, measured, read, phase_of, tol)
-
-
-def _polarized_branch_sources(n: int, m: int) -> tuple[Occupation, Occupation]:
-    """Measured-rail occupations feeding the doubled transform for the two branches.
-
-    Block order: horizontal slots of rails 0..n, then their vertical slots;
-    every rail holds one photon, so the vertical half complements the
-    horizontal one.  Logical H: input rail 0 horizontal plus resource term m,
-    which polarizes rails 1..m vertically.  Logical V: input rail 0 vertical
-    plus resource term m-1, vertical on rails 1..m-1.
-    """
-    logical_h = (1,) + (0,) * m + (1,) * (n - m)
-    logical_v = (0,) * m + (1,) * (n - m + 1)
-    return tuple(h + tuple(1 - x for x in h) for h in (logical_h, logical_v))
 
 
 def _spectator_occupations(n: int, m: int) -> tuple[Occupation, ...]:

@@ -40,7 +40,9 @@ from .fock import (
     measure_photon_counts,
     tensor,
 )
-from .optics import ModeUnitary, apply, embed, fourier_unitary, transition_amplitude
+from .optics import apply, embed, fourier_unitary
+# Unused here; bench/tracing.py wraps teleport.transition_amplitude by name.
+from .optics import transition_amplitude  # noqa: F401
 
 #: Largest n for which the exact Fock-space oracle runs by default.
 ORACLE_LIMIT = 4
@@ -176,15 +178,21 @@ def run_analytic(rc: ResourceCoefficients, qubit: QubitAmplitudes) -> list[Telep
     return outcomes
 
 
-def _branch_sources(n: int, m: int) -> tuple[Occupation, Occupation]:
-    """Measured-mode occupations feeding the transform for the two logical branches.
+def fourier_phase(counts: Occupation) -> complex:
+    """exp(2*pi*i * (sum_l l*counts[l] mod N) / N) for N = len(counts) output modes.
 
-    Logical 0: input mode empty, resource term m puts one photon in each of
-    modes 1..m.  Logical 1: input photon plus resource term m-1.
+    The corrective phase of a pattern behind the N-point Fourier transform
+    when the two logical branches enter on source modes related by the cyclic
+    shift k -> k+1 mod N.  Column k+1 of the transform is column k with row l
+    multiplied by omega^l, omega = exp(2*pi*i/N), so shifting every source
+    photon multiplies row l of the permanent behind <counts| U |source> by
+    omega^l for each of its counts[l] copies.  The two branches therefore
+    reach the pattern with equal magnitude and relative phase
+    omega^(sum_l l*counts[l]), whatever the pattern.
     """
-    vacuum_branch = (0,) + (1,) * m + (0,) * (n - m)
-    photon_branch = (1,) * m + (0,) * (n - m + 1)
-    return vacuum_branch, photon_branch
+    points = len(counts)
+    exponent = sum(l * t for l, t in enumerate(counts)) % points
+    return cmath.exp(2j * math.pi * exponent / points)
 
 
 def derive_phase_correction(
@@ -198,8 +206,10 @@ def derive_phase_correction(
     Multiplying the detected logical-one amplitude by the returned factor makes
     the conditional state proportional to (alpha c_m, beta c_{m-1}).  When only
     one branch is populated there is nothing to align and 1 is returned.
-    Derived from first principles via two single transition amplitudes, so it is
-    independent of the full interferometer simulation.
+    Logical 0 enters the transform on modes 1..m (resource term m), logical 1
+    on modes 0..m-1 (input photon plus term m-1): one cyclic shift apart, so
+    the factor is :func:`fourier_phase` of the pattern.  It is a formula of
+    the pattern alone, independent of the full interferometer simulation.
     """
     n = rc.n
     if not 1 <= m <= n:
@@ -208,31 +218,7 @@ def derive_phase_correction(
         raise ValueError(f"pattern {pattern} does not detect m={m} photons on {n + 1} modes")
     if qubit.alpha == 0 or qubit.beta == 0 or rc.at(m) == 0 or rc.at(m - 1) == 0:
         return 1 + 0j
-    transform = fourier_unitary(n + 1)
-    src_vacuum, src_photon = _branch_sources(n, m)
-    return align_branches(
-        pattern,
-        transition_amplitude(transform, src_vacuum, pattern),
-        transition_amplitude(transform, src_photon, pattern),
-    )
-
-
-def align_branches(pattern: Occupation, amp_zero: complex, amp_one: complex) -> complex:
-    """Unit factor amp_zero/amp_one from the two logical branches' transition amplitudes.
-
-    The branches must reach ``pattern`` with equal magnitude (raises
-    OracleMismatchError otherwise) and not both with zero amplitude (raises
-    ValueError).
-    """
-    if abs(amp_zero) < 1e-14 and abs(amp_one) < 1e-14:
-        raise ValueError(f"pattern {pattern} has zero probability")
-    if abs(abs(amp_zero) - abs(amp_one)) > 1e-10:
-        raise OracleMismatchError(
-            f"branch magnitudes differ on pattern {pattern}: "
-            f"{abs(amp_zero):.3e} vs {abs(amp_one):.3e}"
-        )
-    ratio = amp_zero / amp_one
-    return ratio / abs(ratio)
+    return fourier_phase(pattern)
 
 
 def _schmidt_rank_one(
@@ -441,22 +427,30 @@ def load_coefficients(
 
     The entries are normalized by :func:`normalize_coefficients`.
     """
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("coefficient file nests too deeply") from None
     if not isinstance(raw, dict) or "n" in raw and "c" not in raw:
         raise ValueError("coefficient file must be an object with keys 'n' and 'c'")
     if "n" not in raw or "c" not in raw:
         raise ValueError("coefficient file must provide both 'n' and 'c'")
     n = raw["n"]
     entries = raw["c"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(entries, list) or len(entries) != n + 1:
         raise ValueError(f"'c' must list n+1 = {n + 1} coefficient pairs")
     values = []
     for item in entries:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ValueError(f"coefficient entries must be [re, im] pairs, got {item!r}")
-        values.append(complex(float(item[0]), float(item[1])))
+        if not (isinstance(item, list) and len(item) == 2) or any(
+            isinstance(part, bool) or not isinstance(part, (int, float)) for part in item
+        ):
+            raise ValueError(f"coefficient entries must be [re, im] number pairs, got {item!r}")
+        try:
+            values.append(complex(float(item[0]), float(item[1])))
+        except OverflowError:
+            raise ValueError(f"coefficient entry {item!r} overflows a float") from None
     return normalize_coefficients(values, renormalize=renormalize, tol=tol)
 
 

@@ -248,6 +248,8 @@ def test_module_entry_point_runs():
         ["optimize", "--objective", "success", "--n", "4", "--budget", "5"],
         ["optimize", "--objective", "success", "--n", "4", "--seed", "-1"],
         ["teleport", "--n", "1", "--qubit", "random:-1"],
+        ["teleport", "--n", "1", "--out", "/no/such/dir/out.json"],
+        ["teleport", "--n", "1", "--out", "/"],
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -343,6 +345,8 @@ _FORMAT = _maybe("--format", st.sampled_from(["json", "csv"]))
 _SEED = _maybe("--seed", _numbers(7))
 _N = _numbers(1, 2, 3, 4)
 _SAMPLES = _numbers(2, 3, 1000)
+#: Only paths that cannot be written, so the fuzz never creates a file.
+_OUT = _maybe("--out", st.sampled_from(["/no/such/dir/out.json", "/"]))
 
 
 def _argv(*parts):
@@ -361,6 +365,7 @@ _ARGV = st.one_of(
         _maybe("--oracle-limit", _numbers(4)),
         _maybe("--oracle-tol", _numbers("1e-10")),
         _FORMAT,
+        _OUT,
         _SEED,
     ),
     _argv(
@@ -370,6 +375,7 @@ _ARGV = st.one_of(
         _switch("--squared"),
         _switch("--renormalize"),
         _FORMAT,
+        _OUT,
     ),
     _argv(
         st.just(["optimize"]),
@@ -380,6 +386,7 @@ _ARGV = st.one_of(
         st.tuples(st.just("--samples"), _SAMPLES).map(list),
         _maybe("--convention", st.sampled_from(["collapse", "zero_fidelity"])),
         _FORMAT,
+        _OUT,
         _SEED,
     ),
     _argv(
@@ -388,6 +395,7 @@ _ARGV = st.one_of(
         st.tuples(st.just("--n-max"), _numbers(2, 4)).map(list),
         st.tuples(st.just("--samples"), _SAMPLES).map(list),
         _FORMAT,
+        _OUT,
         _SEED,
     ),
 )

@@ -8,16 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import klm_teleport.optics as optics_module
 import klm_teleport.polarization as polarization_module
 import klm_teleport.teleport as teleport_module
 from klm_teleport import (
     MeasurementOutcome,
+    ModeUnitary,
     OracleMismatchError,
     PureState,
     QubitAmplitudes,
     ResourceCoefficients,
     build_resource_state,
     derive_phase_correction,
+    enumerate_basis,
+    fourier_unitary,
     load_coefficients,
     oracle_deviation,
     run_analytic,
@@ -25,8 +29,9 @@ from klm_teleport import (
     run_oracle_polarization,
     save_coefficients,
     tensor,
+    transition_amplitude,
 )
-from klm_teleport.teleport import qubit_state
+from klm_teleport.teleport import fourier_phase, qubit_state
 
 from helpers import random_coefficients, random_qubit
 
@@ -154,6 +159,60 @@ def test_phase_correction_validates_patterns():
 def test_phase_correction_degenerate_branch_is_one():
     rc = ResourceCoefficients.uniform(2)
     assert derive_phase_correction((0, 1, 0), 1, rc, QubitAmplitudes(1.0, 0.0)) == 1 + 0j
+
+
+def _branch_phase(u, source_zero, source_one, target):
+    """Corrective phase from the two branches' permanents, or None if neither reaches target."""
+    amp_zero = transition_amplitude(u, source_zero, target)
+    amp_one = transition_amplitude(u, source_one, target)
+    if abs(amp_zero) < 1e-14 and abs(amp_one) < 1e-14:
+        return None
+    assert abs(amp_zero) == pytest.approx(abs(amp_one), abs=1e-12), target
+    return amp_zero / amp_one / abs(amp_zero / amp_one)
+
+
+def test_phase_correction_matches_transition_amplitudes():
+    """The closed-form phase equals the permanent ratio on every reachable pattern."""
+    q = balanced()
+    worst, checked = 0.0, 0
+    for n in range(1, 6):
+        rc = ResourceCoefficients.uniform(n)
+        u = fourier_unitary(n + 1)
+        for m in range(1, n + 1):
+            vacuum_branch = (0,) + (1,) * m + (0,) * (n - m)
+            photon_branch = (1,) * m + (0,) * (n - m + 1)
+            for pattern in enumerate_basis(n + 1, m):
+                expected = _branch_phase(u, vacuum_branch, photon_branch, pattern)
+                if expected is not None:
+                    got = derive_phase_correction(pattern, m, rc, q)
+                    worst, checked = max(worst, abs(got - expected)), checked + 1
+    for n in range(1, 5):
+        # Block order of the doubled transform: horizontal slots, then vertical.
+        doubled = ModeUnitary(np.kron(np.eye(2), fourier_unitary(n + 1).matrix))
+        for m in range(1, n + 1):
+            logical_h = (1,) + (0,) * m + (1,) * (n - m)
+            logical_v = (0,) * m + (1,) * (n - m + 1)
+            sources = [h + tuple(1 - x for x in h) for h in (logical_h, logical_v)]
+            for h in enumerate_basis(n + 1, n + 1 - m):
+                for v in enumerate_basis(n + 1, m):
+                    expected = _branch_phase(doubled, *sources, h + v)
+                    if expected is not None:
+                        got = fourier_phase(tuple(a + b for a, b in zip(h, v)))
+                        worst, checked = max(worst, abs(got - expected)), checked + 1
+    assert checked > 2000
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("oracle", [run_oracle, run_oracle_polarization])
+def test_oracle_phases_evaluate_no_permanent(monkeypatch, oracle):
+    def no_permanents(rows):
+        raise AssertionError("the oracle evaluated a permanent")
+
+    monkeypatch.setattr(optics_module, "_permanent_rows", no_permanents)
+    rng = np.random.default_rng(37)
+    rc = random_coefficients(3, rng)
+    q = random_qubit(rng)
+    assert oracle_deviation(run_analytic(rc, q), oracle(rc, q)) < 1e-10
 
 
 def test_oracle_agrees_with_law_on_random_instances():
@@ -300,12 +359,24 @@ def test_coefficient_file_rejects_an_overflowing_norm(tmp_path):
         {"n": 1, "c": [[1.0, 0.0], [0.0]]},
         {"n": 1, "c": [[0.0, 0.0], [0.0, 0.0]]},
         {"n": "1", "c": [[1.0, 0.0], [0.0, 0.0]]},
+        {"n": True, "c": [[1.0, 0.0], [0.0, 0.0]]},
+        {"n": 1, "c": [[True, 0], [0, 0]]},
+        {"n": 1, "c": [["0.6", "0"], ["0.8", "0"]]},
+        {"n": 1, "c": [[None, 0.0], [1.0, 0.0]]},
+        {"n": 1, "c": [[10**400, 0], [1, 0]]},
     ],
 )
 def test_coefficient_file_rejects_malformed_payloads(tmp_path, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
+        load_coefficients(path)
+
+
+def test_coefficient_file_rejects_deep_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="nests too deeply"):
         load_coefficients(path)
 
 
