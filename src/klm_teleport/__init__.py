@@ -1,7 +1,8 @@
 """Linear-optical teleportation with tunable entangled resources.
 
 Simulates the n-photon teleportation protocol (sparse Fock states, mode
-Fourier transforms, permanents), its probabilistic amplitude correction, the
+Fourier transforms applied by creation-operator expansion, with permanents
+kept as the tests' reference), its probabilistic amplitude correction, the
 polarization-encoded variant with its optical correction circuit, and
 optimization of the resource coefficients for success probability or
 Haar-averaged fidelity.  Every analytic formula ships with an independent

@@ -2,17 +2,20 @@
 
 Four subcommands:
 
-* ``teleport``  — outcome table for one resource/input pair, optionally
-  reconciled against the exact Fock-space oracle.
+* ``teleport``  — outcome table for one resource/input pair (JSON or CSV),
+  optionally reconciled against the exact Fock-space oracle, which runs up
+  to n = 6 unless ``--oracle-limit`` says otherwise.
 * ``psuccess``  — brute-force versus extrema-formula success probability.
 * ``optimize``  — maximize success probability or average fidelity over the
   resource weights; emits the full optimization report.
 * ``sweep``     — per-n scaling table (CSV by default) for external plotting.
 
-All output is deterministic for a fixed ``--seed``: floats are serialized
-with 17 significant digits and JSON keys are sorted, so re-runs are
-byte-identical.  Exit codes: 0 on success, 2 for configuration errors,
-3 when an internal cross-check (oracle agreement) fails.
+Only ``optimize`` and ``sweep`` draw random numbers, so only they take
+``--seed``; ``random:SEED`` qubits carry their own.  All output is
+deterministic: floats are serialized with 17 significant digits and JSON
+keys are sorted, so re-runs are byte-identical.  Exit codes: 0 on success,
+2 for configuration errors (an unwritable ``--out`` is refused before any
+work), 3 when an internal cross-check (oracle agreement) fails.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .optimize import (
     maximize,
 )
 from .teleport import (
+    COEFF_NORM_TOL,
     ORACLE_LIMIT,
     ORACLE_TOL,
     OracleMismatchError,
@@ -141,6 +145,8 @@ def parse_qubit(text: str | None) -> QubitAmplitudes:
     if math.isinf(norm):
         raise ConfigError(f"qubit amplitudes in {text!r} overflow their norm")
     if norm == 0.0:
+        if alpha or beta:
+            raise ConfigError(f"the norm of qubit amplitudes {text!r} underflows a float")
         raise ConfigError("qubit amplitudes cannot both be zero")
     try:
         return QubitAmplitudes(alpha / norm, beta / norm)
@@ -192,7 +198,7 @@ def parse_coefficients(args: argparse.Namespace) -> ResourceCoefficients:
                 raise ConfigError("squared moduli overflow their sum") from None
             if total == 0.0:
                 raise ConfigError("squared moduli cannot all be zero")
-            if abs(total - 1.0) > 1e-9 and not args.renormalize:
+            if abs(total - 1.0) > COEFF_NORM_TOL and not args.renormalize:
                 raise ConfigError(
                     f"squared moduli sum to {total!r}; pass --renormalize to accept"
                 )
@@ -217,6 +223,17 @@ def parse_coefficients(args: argparse.Namespace) -> ResourceCoefficients:
     if args.n is not None and args.n != rc.n:
         raise ConfigError(f"--n {args.n} disagrees with file resource size {rc.n}")
     return rc
+
+
+def _check_out(out_path: str | None) -> None:
+    """Refuse an output path that cannot be a file before any work runs."""
+    if out_path is None:
+        return
+    path = Path(out_path)
+    if path.is_dir():
+        raise ConfigError(f"output path {out_path!r} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"output directory of {out_path!r} does not exist")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -273,15 +290,11 @@ def cmd_teleport(args: argparse.Namespace) -> str:
                 f"--oracle supports n <= {args.oracle_limit} (requested n={n}); "
                 "raise --oracle-limit to go bigger"
             )
-        if not (math.isfinite(args.oracle_tol) and args.oracle_tol >= 0):
-            raise ConfigError(
-                f"--oracle-tol must be finite and nonnegative, got {args.oracle_tol!r}"
-            )
-        oracle = run_oracle(rc, qubit, limit=args.oracle_limit, tol=args.oracle_tol)
+        oracle = run_oracle(rc, qubit, limit=args.oracle_limit)
         payload["oracle"] = {
             "max_deviation": oracle_deviation(outcomes, oracle),
             "pattern_count": sum(len(o.patterns or ()) for o in oracle),
-            "tolerance": args.oracle_tol,
+            "tolerance": ORACLE_TOL,
         }
     if args.format == "csv":
         lines = [TELEPORT_CSV_HEADER]
@@ -321,8 +334,6 @@ def cmd_psuccess(args: argparse.Namespace) -> str:
             "strict": classification.strict,
         },
     }
-    if args.format == "csv":
-        raise ConfigError("psuccess emits JSON only")
     return dump_json(payload) + "\n"
 
 
@@ -330,18 +341,6 @@ _OBJECTIVE_NAMES = {"success": "success", "avgfid": "avg_fidelity"}
 
 
 def cmd_optimize(args: argparse.Namespace) -> str:
-    if args.format == "csv":
-        raise ConfigError("optimize emits JSON only")
-    if args.n is None:
-        raise ConfigError("optimize requires --n")
-    if args.n < 1:
-        raise ConfigError(f"--n must be at least 1, got {args.n}")
-    if args.budget < 1:
-        raise ConfigError("--budget must be positive")
-    if args.restarts < 1:
-        raise ConfigError("--restarts must be positive")
-    if args.samples < 2:
-        raise ConfigError("--samples must be at least 2")
     convention = FailureConvention(args.convention)
     try:
         report = maximize(
@@ -368,8 +367,6 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         raise ConfigError(
             f"--n-max ({args.n_max}) must not be below --n-min ({args.n_min})"
         )
-    if args.samples < 2:
-        raise ConfigError("--samples must be at least 2")
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         uniform_rc = ResourceCoefficients.uniform(n)
@@ -407,14 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, default_format: str) -> None:
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv"),
-            default=default_format,
-            help=f"output format (default {default_format})",
-        )
+    def add_common(
+        p: argparse.ArgumentParser, *, seed: bool = False, default_format: str | None = None
+    ) -> None:
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+        if default_format is not None:
+            p.add_argument(
+                "--format",
+                choices=("json", "csv"),
+                default=default_format,
+                help=f"output format (default {default_format})",
+            )
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def add_coeffs(p: argparse.ArgumentParser) -> None:
@@ -456,24 +457,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=ORACLE_LIMIT,
         help=f"largest n the oracle will attempt (default {ORACLE_LIMIT})",
     )
-    p_tel.add_argument(
-        "--oracle-tol",
-        type=float,
-        default=ORACLE_TOL,
-        help=f"oracle agreement tolerance (default {ORACLE_TOL})",
-    )
-    add_common(p_tel, "json")
+    add_common(p_tel, default_format="json")
     p_tel.set_defaults(run=cmd_teleport)
 
     p_ps = sub.add_parser(
         "psuccess", help="compare brute-force and extrema-formula success probability"
     )
     add_coeffs(p_ps)
-    add_common(p_ps, "json")
+    add_common(p_ps)
     p_ps.set_defaults(run=cmd_psuccess)
 
     p_opt = sub.add_parser("optimize", help="maximize an objective over resource weights")
-    p_opt.add_argument("--n", type=int, default=None, help="resource size n")
+    p_opt.add_argument("--n", type=int, required=True, help="resource size n")
     p_opt.add_argument(
         "--objective",
         choices=tuple(_OBJECTIVE_NAMES),
@@ -504,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=FailureConvention.COLLAPSE.value,
         help="failure-outcome fidelity convention (default collapse)",
     )
-    add_common(p_opt, "json")
+    add_common(p_opt, seed=True)
     p_opt.set_defaults(run=cmd_optimize)
 
     p_sw = sub.add_parser("sweep", help="scaling table over a range of n")
@@ -516,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1_000_000,
         help="Monte Carlo samples per n for the fidelity cross-check",
     )
-    add_common(p_sw, "csv")
+    add_common(p_sw, seed=True, default_format="csv")
     p_sw.set_defaults(run=cmd_sweep)
     return parser
 
@@ -525,6 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         _emit(args.run(args), args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -147,14 +147,12 @@ class MeasurementOutcome(NamedTuple):
 def measure_photon_counts(
     state: PureState,
     measured_modes: Iterable[int],
-    *,
-    min_probability: float = OUTCOME_EPS,
 ) -> list[MeasurementOutcome]:
     """Project onto photon-count patterns of a subset of modes.
 
     Returns (pattern, probability, conditional state on the remaining modes)
     sorted by pattern, omitting patterns with probability below
-    ``min_probability``.  Conditional amplitudes keep their phases, so
+    ``OUTCOME_EPS``.  Conditional amplitudes keep their phases, so
     recombining sqrt(probability) * pattern x conditional reconstructs the
     input state exactly.
     """
@@ -177,7 +175,7 @@ def measure_photon_counts(
     for pattern in sorted(grouped):
         branch = grouped[pattern]
         prob = math.fsum(abs(a) ** 2 for a in branch.values())
-        if prob < min_probability:
+        if prob < OUTCOME_EPS:
             continue
         scale = 1.0 / math.sqrt(prob)
         conditional = PureState(len(keep), {occ: a * scale for occ, a in branch.items()})

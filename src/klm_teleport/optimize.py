@@ -38,6 +38,9 @@ GRID_RESOLUTION = 20
 GRID_LIMIT = 3
 #: Probability that the Monte-Carlo cross-check rejects a correct closed form.
 MC_FALSE_ALARM = 1e-9
+#: Monte-Carlo samples per block; the block size fixes the summation order, so the
+#: last bit of the estimate.
+MC_CHUNK = 200_000
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,6 @@ def objective_avg_fidelity(
     samples: int = 1_000_000,
     seed: int = 0,
     convention: FailureConvention = FailureConvention.COLLAPSE,
-    chunk: int = 200_000,
 ) -> AvgFidelityEstimate:
     """Monte Carlo estimate of the Haar-averaged fidelity.
 
@@ -201,7 +203,7 @@ def objective_avg_fidelity(
     square_sums: list[float] = []
     done = 0
     while done < samples:
-        block = min(chunk, samples - done)
+        block = min(MC_CHUNK, samples - done)
         z = rng.standard_normal((block, 4))
         zero_norm = z[:, 0] ** 2 + z[:, 1] ** 2
         one_norm = z[:, 2] ** 2 + z[:, 3] ** 2

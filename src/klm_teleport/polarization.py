@@ -28,7 +28,6 @@ import numpy as np
 from .fock import Occupation, PureState, QubitAmplitudes, measure_photon_counts, tensor
 from .optics import ModeUnitary, apply, embed, fourier_unitary
 from .teleport import (
-    ORACLE_TOL,
     OracleMismatchError,
     ResourceCoefficients,
     TeleportOutcome,
@@ -40,7 +39,7 @@ HORIZONTAL = "H"
 VERTICAL = "V"
 
 #: Largest n for which the polarization oracle runs by default.
-POLARIZATION_ORACLE_LIMIT = 3
+POLARIZATION_ORACLE_LIMIT = 4
 
 
 def slot_index(mode: int, polarization: str) -> int:
@@ -257,7 +256,6 @@ def run_oracle_polarization(
     qubit: QubitAmplitudes,
     *,
     limit: int = POLARIZATION_ORACLE_LIMIT,
-    tol: float = ORACLE_TOL,
 ) -> list[TeleportOutcome]:
     """Exact slot-space simulation of the polarization protocol.
 
@@ -305,7 +303,7 @@ def run_oracle_polarization(
         rail_totals = tuple(h + v for h, v in zip(pattern[0::2], pattern[1::2]))
         return fourier_phase(rail_totals)
 
-    return reconcile_outcomes(rc, qubit, measured, read, phase_of, tol)
+    return reconcile_outcomes(rc, qubit, measured, read, phase_of)
 
 
 def _spectator_occupations(n: int, m: int) -> tuple[Occupation, ...]:

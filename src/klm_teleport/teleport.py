@@ -45,9 +45,11 @@ from .optics import apply, embed, fourier_unitary
 from .optics import transition_amplitude  # noqa: F401
 
 #: Largest n for which the exact Fock-space oracle runs by default.
-ORACLE_LIMIT = 4
+ORACLE_LIMIT = 6
 #: Agreement tolerance between the oracle and the analytic outcome law.
 ORACLE_TOL = 1e-10
+#: Deviation from unit norm that coefficient input may carry without ``renormalize``.
+COEFF_NORM_TOL = 1e-9
 
 
 class OracleMismatchError(RuntimeError):
@@ -247,7 +249,6 @@ def reconcile_outcomes(
     measured: Iterable[MeasurementOutcome],
     read: Callable[[Occupation, PureState, float], tuple[int, tuple[Occupation, ...]]],
     phase_of: Callable[[Occupation, int], complex],
-    tol: float = ORACLE_TOL,
 ) -> list[TeleportOutcome]:
     """Check simulated detection patterns against the outcome law and aggregate by m.
 
@@ -265,10 +266,8 @@ def reconcile_outcomes(
     magnitudes must match the law and whose phase-corrected qubit must match
     the law's conditional qubit.  The most probable pattern's corrected qubit
     represents each m, and the aggregated probability of each m must match the
-    law within ``tol``.  Raises OracleMismatchError on any disagreement.
+    law within ``ORACLE_TOL``.  Raises OracleMismatchError on any disagreement.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"oracle tolerance must be finite and nonnegative, got {tol!r}")
     n = rc.n
     analytic = run_analytic(rc, qubit)
     per_m_patterns: dict[int, list[PatternRecord]] = {}
@@ -278,7 +277,7 @@ def reconcile_outcomes(
         # Per-pattern tolerances loosen for negligible-probability patterns,
         # whose normalized amplitudes amplify machine noise; they contribute
         # nothing at the aggregate level, which keeps the strict tolerance.
-        pat_tol = tol if prob >= 1e-12 else 1e-6
+        pat_tol = ORACLE_TOL if prob >= 1e-12 else 1e-6
         m, occupations = read(pattern, conditional, pat_tol)
         if m > n + 1:
             raise OracleMismatchError(f"impossible outcome m={m} in pattern {pattern}")
@@ -327,7 +326,7 @@ def reconcile_outcomes(
     for law in analytic:
         records = tuple(per_m_patterns.get(law.m, ()))
         prob = math.fsum(record.probability for record in records)
-        if abs(prob - law.probability) > tol:
+        if abs(prob - law.probability) > ORACLE_TOL:
             raise OracleMismatchError(
                 f"aggregated probability for m={law.m} is {prob!r}, "
                 f"law gives {law.probability!r}"
@@ -368,7 +367,6 @@ def run_oracle(
     qubit: QubitAmplitudes,
     *,
     limit: int = ORACLE_LIMIT,
-    tol: float = ORACLE_TOL,
 ) -> list[TeleportOutcome]:
     """Exact Fock-space simulation of the protocol, reconciled pattern by pattern.
 
@@ -397,7 +395,7 @@ def run_oracle(
     def phase_of(pattern: Occupation, m: int) -> complex:
         return derive_phase_correction(pattern, m, rc, qubit)
 
-    return reconcile_outcomes(rc, qubit, measured, read, phase_of, tol)
+    return reconcile_outcomes(rc, qubit, measured, read, phase_of)
 
 
 def oracle_deviation(
@@ -421,7 +419,6 @@ def load_coefficients(
     path: str | Path,
     *,
     renormalize: bool = False,
-    tol: float = 1e-9,
 ) -> ResourceCoefficients:
     """Read a coefficient file: ``{"n": int, "c": [[re, im], ...]}``.
 
@@ -451,29 +448,30 @@ def load_coefficients(
             values.append(complex(float(item[0]), float(item[1])))
         except OverflowError:
             raise ValueError(f"coefficient entry {item!r} overflows a float") from None
-    return normalize_coefficients(values, renormalize=renormalize, tol=tol)
+    return normalize_coefficients(values, renormalize=renormalize)
 
 
 def normalize_coefficients(
     values: Sequence[complex],
     *,
     renormalize: bool = False,
-    tol: float = 1e-9,
 ) -> ResourceCoefficients:
     """Divide coefficients by their norm, the one rule for all coefficient input.
 
-    Deviations from unit norm up to ``tol`` are corrected silently (the exact
-    normalization the type requires); larger deviations are rejected unless
-    ``renormalize`` is set.  A zero vector and a norm that overflows a float
-    are rejected with ``ValueError``.
+    Deviations from unit norm up to ``COEFF_NORM_TOL`` are corrected silently
+    (the exact normalization the type requires); larger deviations are
+    rejected unless ``renormalize`` is set.  A zero vector and a norm that
+    overflows or underflows a float are rejected with ``ValueError``.
     """
     try:
         nrm = math.sqrt(math.fsum(abs(v) ** 2 for v in values))
     except OverflowError:
         raise ValueError("coefficient norm overflows a float") from None
     if nrm == 0.0:
+        if any(values):
+            raise ValueError("coefficient norm underflows a float")
         raise ValueError("coefficients cannot all be zero")
-    if abs(nrm - 1.0) > tol and not renormalize:
+    if abs(nrm - 1.0) > COEFF_NORM_TOL and not renormalize:
         raise ValueError(
             f"coefficients deviate from unit norm by {abs(nrm - 1.0):.3e}; "
             "pass renormalize to accept"

@@ -1,5 +1,6 @@
 """Command-line interface: exact example outputs, exit codes, and serialization."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,6 +16,7 @@ from klm_teleport import OracleMismatchError
 from klm_teleport.cli import (
     SWEEP_HEADER,
     ConfigError,
+    build_parser,
     dump_json,
     main,
     parse_qubit,
@@ -228,17 +230,17 @@ def test_module_entry_point_runs():
         ["teleport", "--n", "1", "--coeffs", "uniform", "--squared"],
         ["teleport", "--n", "1", "--coeffs", "uniform", "--qubit", "0,0+0,0"],
         ["teleport", "--n", "1", "--coeffs", "uniform", "--qubit", "nonsense"],
-        ["teleport", "--n", "5", "--coeffs", "uniform", "--oracle"],
+        ["teleport", "--n", "7", "--coeffs", "uniform", "--oracle"],
         ["teleport", "--n", "1", "--coeffs", "file:/no/such/file.json"],
-        ["psuccess", "--n", "2", "--coeffs", "uniform", "--format", "csv"],
-        ["optimize", "--objective", "success", "--n", "2", "--format", "csv"],
+        ["optimize", "--objective", "success", "--n", "2", "--restarts", "0"],
+        ["optimize", "--objective", "avgfid", "--n", "2", "--samples", "1"],
         ["optimize", "--objective", "success", "--n", "0"],
         ["optimize", "--objective", "success", "--n", "2", "--budget", "0"],
         ["sweep", "--n-min", "3", "--n-max", "2"],
         ["sweep", "--n-min", "0", "--n-max", "2"],
-        ["teleport", "--n", "1", "--coeffs", "uniform", "--oracle", "--oracle-tol", "-1"],
-        ["teleport", "--n", "1", "--coeffs", "uniform", "--oracle", "--oracle-tol", "nan"],
-        ["teleport", "--n", "1", "--coeffs", "uniform", "--oracle", "--oracle-tol", "inf"],
+        ["sweep", "--n-max", "2", "--samples", "1"],
+        ["optimize", "--objective", "avgfid", "--n", "0"],
+        ["sweep", "--n-max", "2", "--out", "/"],
         ["teleport", "--coeffs", "inline:nan,1"],
         ["teleport", "--coeffs", "inline:inf,1", "--renormalize"],
         ["teleport", "--n", "1", "--qubit", "nan,0+1,0"],
@@ -260,6 +262,47 @@ def test_config_errors_exit_two(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["teleport", "--n", "1", "--coeffs", "uniform", "--oracle", "--oracle-tol", "-1"],
+        ["teleport", "--n", "1", "--coeffs", "uniform", "--oracle", "--oracle-tol", "nan"],
+        ["teleport", "--n", "1", "--coeffs", "uniform", "--oracle", "--oracle-tol", "inf"],
+        ["teleport", "--n", "1", "--seed", "3"],
+        ["psuccess", "--n", "2", "--coeffs", "uniform", "--format", "csv"],
+        ["psuccess", "--n", "2", "--seed", "3"],
+        ["optimize", "--objective", "success", "--n", "2", "--format", "csv"],
+    ],
+)
+def test_removed_flags_are_unrecognized(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_cli_options_are_the_ones_the_commands_read():
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands.choices.items()
+    }
+    coeffs = {"--n", "--coeffs", "--squared", "--renormalize", "--out"}
+    assert options == {
+        "teleport": coeffs | {"--qubit", "--oracle", "--oracle-limit", "--format"},
+        "psuccess": coeffs,
+        "optimize": {
+            "--n", "--objective", "--budget", "--restarts", "--samples", "--convention",
+            "--seed", "--out",
+        },
+        "sweep": {"--n-min", "--n-max", "--samples", "--seed", "--format", "--out"},
+    }
+    assert sum(map(len, options.values())) == 28
+
+
 def test_optimize_csv_is_refused_before_the_search(capsys, monkeypatch):
     import klm_teleport.cli as cli_module
 
@@ -267,17 +310,46 @@ def test_optimize_csv_is_refused_before_the_search(capsys, monkeypatch):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(cli_module, "maximize", explode)
-    code = main(["optimize", "--objective", "success", "--n", "6", "--format", "csv"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "JSON only" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--objective", "success", "--n", "6", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_refused_before_the_search(tmp_path, capsys, monkeypatch):
+    import klm_teleport.cli as cli_module
+
+    def explode(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli_module, "maximize", explode)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        code = main(["optimize", "--objective", "success", "--n", "6", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert str(out) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_underflowing_norms_are_named(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"n": 1, "c": [[1e-170, 0.0], [1e-170, 0.0]]}))
+    for argv in (
+        ["teleport", "--coeffs", "inline:1e-170,1e-170", "--renormalize"],
+        ["teleport", "--coeffs", f"file:{path}", "--renormalize"],
+        ["teleport", "--n", "1", "--qubit", "1e-170,0+1e-170,0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "underflows a float" in err
 
 
 def test_oracle_limit_refusal_names_the_limit(capsys):
-    code = main(["teleport", "--n", "5", "--coeffs", "uniform", "--oracle"])
+    code = main(["teleport", "--n", "7", "--coeffs", "uniform", "--oracle"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "4" in captured.err
+    assert "n <= 6" in captured.err
 
 
 def test_oracle_mismatch_exits_three(capsys, monkeypatch):
@@ -363,10 +435,8 @@ _ARGV = st.one_of(
         _maybe("--qubit", _QUBITS),
         _switch("--oracle"),
         _maybe("--oracle-limit", _numbers(4)),
-        _maybe("--oracle-tol", _numbers("1e-10")),
         _FORMAT,
         _OUT,
-        _SEED,
     ),
     _argv(
         st.just(["psuccess"]),
@@ -374,7 +444,6 @@ _ARGV = st.one_of(
         _maybe("--coeffs", _COEFFS),
         _switch("--squared"),
         _switch("--renormalize"),
-        _FORMAT,
         _OUT,
     ),
     _argv(
@@ -385,7 +454,6 @@ _ARGV = st.one_of(
         _maybe("--restarts", _numbers(2)),
         st.tuples(st.just("--samples"), _SAMPLES).map(list),
         _maybe("--convention", st.sampled_from(["collapse", "zero_fidelity"])),
-        _FORMAT,
         _OUT,
         _SEED,
     ),

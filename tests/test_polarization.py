@@ -177,8 +177,8 @@ def test_polarization_oracle_agrees_with_law():
 
 
 def test_polarization_oracle_refuses_large_n():
-    with pytest.raises(ValueError, match="n <= 3"):
-        run_oracle_polarization(ResourceCoefficients.uniform(4), balanced())
+    with pytest.raises(ValueError, match="n <= 4"):
+        run_oracle_polarization(ResourceCoefficients.uniform(5), balanced())
 
 
 def test_teleported_state_frozen():
