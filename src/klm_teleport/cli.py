@@ -44,6 +44,7 @@ from .optimize import (
 )
 from .teleport import (
     COEFF_NORM_TOL,
+    MAXIMIZE_LIMIT,
     ORACLE_LIMIT,
     ORACLE_TOL,
     OracleMismatchError,
@@ -340,7 +341,15 @@ def cmd_psuccess(args: argparse.Namespace) -> str:
 _OBJECTIVE_NAMES = {"success": "success", "avgfid": "avg_fidelity"}
 
 
+def _check_seed(seed: int) -> None:
+    # sweep seeds row n with seed + n, so the library alone would accept
+    # some negative seeds there.
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+
+
 def cmd_optimize(args: argparse.Namespace) -> str:
+    _check_seed(args.seed)
     convention = FailureConvention(args.convention)
     try:
         report = maximize(
@@ -361,12 +370,15 @@ def cmd_optimize(args: argparse.Namespace) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> str:
+    _check_seed(args.seed)
     if args.n_min < 1:
         raise ConfigError(f"--n-min must be at least 1, got {args.n_min}")
     if args.n_max < args.n_min:
         raise ConfigError(
             f"--n-max ({args.n_max}) must not be below --n-min ({args.n_min})"
         )
+    if args.n_max > MAXIMIZE_LIMIT:
+        raise ConfigError(f"--n-max must be at most {MAXIMIZE_LIMIT}, got {args.n_max}")
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         uniform_rc = ResourceCoefficients.uniform(n)

@@ -15,7 +15,8 @@ Nelder-Mead in softmax coordinates from many seeded starts (plus an
 exhaustive coarse simplex grid for small n), then the incumbent is polished.
 It is concave over the simplex, so multistart local search is globally
 reliable; an independent extrema certificate bounds it from above to witness
-optimality.
+optimality.  That search is the package's only use of scipy, which is
+imported on its first Nelder-Mead stage rather than with the package.
 """
 
 from __future__ import annotations
@@ -26,11 +27,15 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .correction import adjacent_minima_sum, classify_sequence
 from .fock import QubitAmplitudes, enumerate_basis
-from .teleport import OracleMismatchError, ResourceCoefficients, run_analytic
+from .teleport import (
+    MAXIMIZE_LIMIT,
+    OracleMismatchError,
+    ResourceCoefficients,
+    run_analytic,
+)
 
 #: Simplex grid spacing 1/GRID_RESOLUTION used to floor the search for small n.
 GRID_RESOLUTION = 20
@@ -337,8 +342,20 @@ class OptimizationReport:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = np.exp(x - np.max(x))
-    return shifted / np.sum(shifted)
+    shifted = np.exp(x - x.max())
+    return shifted / shifted.sum()
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported when first called.
+
+    Only the success search calls it, so every other use of the package
+    runs without loading scipy.  The search looks this name up as a module
+    global on every stage, so replacing the attribute intercepts each call.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 _OBJECTIVES = ("success", "avg_fidelity")
@@ -361,13 +378,16 @@ def maximize(
     objective evaluations across the grid sweep, the seeded restarts, and the
     polish rounds; exhausting it sets ``budget_exhausted`` and returns the
     incumbent.  Raises ``ValueError`` before any work for invalid arguments,
-    including a success budget of at most n + 2 when n > GRID_LIMIT, which
-    leaves no grid and no Nelder-Mead stage to produce a candidate.
+    including n above MAXIMIZE_LIMIT and a success budget of at most n + 2
+    when n > GRID_LIMIT, which leaves no grid and no Nelder-Mead stage to
+    produce a candidate.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     if n < 1:
         raise ValueError(f"resource size must be at least 1, got {n}")
+    if n > MAXIMIZE_LIMIT:
+        raise ValueError(f"resource size must be at most {MAXIMIZE_LIMIT}, got {n}")
     if budget < 1:
         raise ValueError("evaluation budget must be positive")
     if restarts < 1:
@@ -414,7 +434,7 @@ def maximize(
     def negated(x: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        return -adjacent_minima_sum(tuple(_softmax(x)))
+        return -adjacent_minima_sum(_softmax(x).tolist())
 
     def run_stage(x0: np.ndarray) -> None:
         nonlocal evaluations, budget_exhausted

@@ -46,6 +46,10 @@ from .optics import transition_amplitude  # noqa: F401
 
 #: Largest n for which the exact Fock-space oracle runs by default.
 ORACLE_LIMIT = 6
+#: Largest n that ``optimize.maximize`` accepts.  Its dense (n+1)x(n+1)
+#: eigenproblem and (n+2)x(n+1) Nelder-Mead simplex take ~8 MB each here, so
+#: a larger n is refused up front instead of failing to allocate.
+MAXIMIZE_LIMIT = 1_000
 #: Agreement tolerance between the oracle and the analytic outcome law.
 ORACLE_TOL = 1e-10
 #: Deviation from unit norm that coefficient input may carry without ``renormalize``.

@@ -252,6 +252,13 @@ def test_module_entry_point_runs():
         ["teleport", "--n", "1", "--qubit", "random:-1"],
         ["teleport", "--n", "1", "--out", "/no/such/dir/out.json"],
         ["teleport", "--n", "1", "--out", "/"],
+        ["sweep", "--n-max", "2", "--seed", "-1"],
+        ["sweep", "--n-min", "2", "--n-max", "3", "--seed", "-2"],
+        ["optimize", "--n", "1", "--seed", "-1"],
+        # Sizes whose dense matrices could not be allocated; refused before any work.
+        ["optimize", "--objective", "avgfid", "--n", "200000", "--samples", "2"],
+        ["sweep", "--n-min", "200000", "--n-max", "200000", "--samples", "2"],
+        ["optimize", "--n", "200000", "--budget", "100000000"],
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -260,6 +267,38 @@ def test_config_errors_exit_two(capsys, argv):
     assert code == 2
     assert captured.err != ""
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("subcommand", [["optimize", "--n", "1"], ["sweep", "--n-max", "2"]])
+def test_negative_seed_error_names_the_flag(capsys, subcommand):
+    code, out, err = run_cli(capsys, *subcommand, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+
+
+def test_only_the_success_search_imports_scipy():
+    script = """
+import contextlib, io, sys
+import klm_teleport, klm_teleport.cli
+from klm_teleport.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+run("teleport", "--oracle", "--n", "3")
+run("psuccess", "--n", "2")
+run("sweep", "--n-max", "2", "--samples", "1000")
+run("optimize", "--objective", "avgfid", "--n", "2", "--samples", "1000")
+assert "scipy" not in sys.modules, "scipy loaded without the success search"
+run("optimize", "--objective", "success", "--n", "2")
+assert "scipy.optimize" in sys.modules
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from klm_teleport import (
     optimal_fidelity_profile,
 )
 from klm_teleport.optimize import _sample_fidelities
+from klm_teleport.teleport import MAXIMIZE_LIMIT
 
 from helpers import random_qubit, random_strict_weights
 
@@ -236,6 +237,28 @@ def test_maximize_rejects_bad_arguments():
         maximize("avg_fidelity", 2, mc_samples=1)
     with pytest.raises(ValueError, match="budget 6"):
         maximize("success", 4, budget=6)
+    for objective in ("success", "avg_fidelity"):
+        with pytest.raises(ValueError, match="at most"):
+            maximize(objective, MAXIMIZE_LIMIT + 1)
+
+
+def test_success_search_calls_minimize_through_the_module_global(monkeypatch):
+    # Tracing wraps optimize.minimize by attribute, so the search must look it
+    # up there; the package's own function defers the scipy import.
+    import klm_teleport.optimize as optimize_module
+
+    assert optimize_module.minimize.__module__ == "klm_teleport.optimize"
+    expected = maximize("success", 4, restarts=2).as_dict()
+    original = optimize_module.minimize
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "minimize", counting)
+    assert maximize("success", 4, restarts=2).as_dict() == expected
+    assert calls and set(calls) == {"Nelder-Mead"}
 
 
 def test_maximize_report_dict_shape():
