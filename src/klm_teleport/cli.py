@@ -33,6 +33,7 @@ from .correction import (
     PlateauError,
     classify_sequence,
     p_success_closed_form,
+    p_success_given_m,
     p_success_total_brute,
 )
 from .fock import QubitAmplitudes
@@ -140,17 +141,7 @@ def parse_qubit(text: str | None) -> QubitAmplitudes:
     except ValueError as exc:
         raise ConfigError(f"bad qubit amplitude in {text!r}: {exc}") from None
     try:
-        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    except OverflowError:
-        norm = math.inf
-    if math.isinf(norm):
-        raise ConfigError(f"qubit amplitudes in {text!r} overflow their norm")
-    if norm == 0.0:
-        if alpha or beta:
-            raise ConfigError(f"the norm of qubit amplitudes {text!r} underflows a float")
-        raise ConfigError("qubit amplitudes cannot both be zero")
-    try:
-        return QubitAmplitudes(alpha / norm, beta / norm)
+        return QubitAmplitudes.from_unnormalized(alpha, beta)
     except ValueError as exc:
         raise ConfigError(f"bad qubit amplitudes {text!r}: {exc}") from None
 
@@ -261,7 +252,9 @@ def cmd_teleport(args: argparse.Namespace) -> str:
         joint = (
             min(weights[m - 1], weights[m]) if 1 <= m <= n else 0.0
         )
-        given = joint / outcome.probability if outcome.probability > 0 and 1 <= m <= n else None
+        given = None
+        if 1 <= m <= n and outcome.probability > 0:
+            given = p_success_given_m(m, rc, qubit)
         conditional = None
         if outcome.conditional_qubit is not None:
             conditional = [

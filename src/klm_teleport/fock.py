@@ -84,8 +84,18 @@ class PureState:
 
     @classmethod
     def from_terms(cls, mode_count: int, terms: dict[Occupation, complex]) -> "PureState":
-        """Build a state from a raw amplitude map, dropping negligible entries."""
-        cleaned = {occ: complex(a) for occ, a in terms.items() if abs(a) > PRUNE_EPS}
+        """Build a state from a raw amplitude map, dropping negligible entries.
+
+        A NaN or infinite amplitude raises ``ValueError``; it is never dropped.
+        """
+        cleaned = {}
+        inf = math.inf
+        for occ, a in terms.items():
+            size = abs(a)
+            if PRUNE_EPS < size < inf:
+                cleaned[occ] = complex(a)
+            elif not size <= PRUNE_EPS:
+                raise ValueError(f"amplitude {a!r} of occupation {occ} is not finite")
         return cls(mode_count, cleaned)
 
     def amplitude(self, occupation: Iterable[int]) -> complex:
@@ -201,8 +211,16 @@ class QubitAmplitudes:
 
     @classmethod
     def from_unnormalized(cls, alpha: complex, beta: complex) -> "QubitAmplitudes":
-        nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        """Divide by sqrt(|alpha|^2 + |beta|^2); a norm outside float range raises."""
+        try:
+            nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        except OverflowError:
+            nrm = math.inf
+        if math.isinf(nrm):
+            raise ValueError("qubit norm overflows a float")
         if nrm == 0.0:
+            if alpha or beta:
+                raise ValueError("qubit norm underflows a float")
             raise ValueError("zero vector cannot define a qubit")
         return cls(alpha / nrm, beta / nrm)
 

@@ -1,12 +1,14 @@
 """Polarization-encoded variant of the protocol and its physical correction circuit.
 
 Here every rail carries exactly one photon and the logic lives in its
-polarization: horizontal is logical 0, vertical is logical 1.  A spatial mode
+polarization.  The encoding is the dual-rail image of the number encoding
+(Knill, Laflamme & Milburn, Nature 409, 46 (2001)): on every rail, 0 photons
+becomes |H> and 1 photon becomes |V> (:func:`dual_rail`), so a spatial mode
 contributes two Fock slots, ``slot_index(mode, H)`` and ``slot_index(mode, V)``,
-and the (n+1)-point Fourier transform acts identically on the horizontal and
-vertical slot blocks of the measured modes.  Polarization-resolving counters
-then report the detected vertical total m, which plays exactly the role of the
-photon count in the number-encoded protocol.
+and the (n+1)-point Fourier transform F becomes F (x) 1 on the measured modes.
+Polarization-resolving counters then report the detected vertical total m,
+which plays exactly the role of the photon count in the number-encoded
+protocol.
 
 The amplitude correction becomes a small optical circuit: a polarizing beam
 splitter separates the two logical components, a second splitter rotated by
@@ -21,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,8 +33,12 @@ from .teleport import (
     OracleMismatchError,
     ResourceCoefficients,
     TeleportOutcome,
+    build_resource_state,
     fourier_phase,
+    number_branches,
+    qubit_state,
     reconcile_outcomes,
+    run_analytic,
 )
 
 HORIZONTAL = "H"
@@ -49,6 +55,21 @@ def slot_index(mode: int, polarization: str) -> int:
     if polarization == VERTICAL:
         return 2 * mode + 1
     raise ValueError(f"polarization must be {HORIZONTAL!r} or {VERTICAL!r}, got {polarization!r}")
+
+
+def _dual(occupation: Occupation) -> Occupation:
+    """Slot occupation of a rail occupation: k photons become the pair (1-k, k)."""
+    if any(k > 1 for k in occupation):
+        raise ValueError(f"dual-rail encoding needs at most one photon per mode, got {occupation}")
+    return tuple(slot for k in occupation for slot in (1 - k, k))
+
+
+def dual_rail(state: PureState) -> PureState:
+    """Polarization image of a number-encoded state: on each rail 0 -> |H>, 1 -> |V>.
+
+    Amplitudes and their order are kept; more than one photon in a mode raises.
+    """
+    return PureState(2 * state.mode_count, {_dual(o): a for o, a in state.amplitudes.items()})
 
 
 @dataclass(frozen=True)
@@ -100,6 +121,43 @@ def _unit_occupation(slots: int, slot: int) -> Occupation:
     return tuple(1 if i == slot else 0 for i in range(slots))
 
 
+def _route_photon(
+    polarized: PolarizedPhotonState,
+    mode: int,
+    outputs: Callable[[bool, complex], Iterable[tuple[int, complex]]],
+    device: str,
+) -> PolarizedPhotonState:
+    """Clear rail ``mode`` and put its photon where ``outputs(was_h, amp)`` says.
+
+    Terms without a photon there pass unchanged and exact-zero outputs are
+    skipped.  Callers compute the amplitudes themselves, so each one fixes the
+    order of its own multiplications.
+    """
+    h_slot = slot_index(mode, HORIZONTAL)
+    v_slot = slot_index(mode, VERTICAL)
+    terms: dict[Occupation, complex] = {}
+    for occ, amp in polarized.state.amplitudes.items():
+        count = occ[h_slot] + occ[v_slot]
+        if count == 0:
+            terms[occ] = terms.get(occ, 0j) + amp
+            continue
+        if count > 1:
+            raise ValueError(f"{device} model handles at most one photon on its input rail")
+        cleared = list(occ)
+        cleared[h_slot] = cleared[v_slot] = 0
+        for slot, value in outputs(occ[h_slot] == 1, amp):
+            if value == 0:
+                continue
+            target = cleared.copy()
+            target[slot] = 1
+            key = tuple(target)
+            terms[key] = terms.get(key, 0j) + value
+    return PolarizedPhotonState(
+        polarized.spatial_modes,
+        PureState.from_terms(polarized.state.mode_count, terms),
+    )
+
+
 @dataclass(frozen=True)
 class RotatedPBS:
     """Polarizing beam splitter rotated by ``theta``, with named output rails.
@@ -122,6 +180,8 @@ class RotatedPBS:
     transmit_mode: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.theta):
+            raise ValueError(f"splitter angle must be finite, got {self.theta!r}")
         modes = (self.input_mode, self.reflect_mode, self.transmit_mode)
         if len(set(modes)) != 3 or any(m < 0 for m in modes):
             raise ValueError(f"splitter rails must be distinct and nonnegative, got {modes}")
@@ -135,52 +195,34 @@ class RotatedPBS:
     def apply(self, polarized: PolarizedPhotonState) -> PolarizedPhotonState:
         if max(self.input_mode, self.reflect_mode, self.transmit_mode) >= polarized.spatial_modes:
             raise ValueError("splitter rails exceed the state's spatial modes")
-        slots = 2 * polarized.spatial_modes
-        in_h = slot_index(self.input_mode, HORIZONTAL)
-        in_v = slot_index(self.input_mode, VERTICAL)
-        out = {
-            (HORIZONTAL, "r"): slot_index(self.reflect_mode, HORIZONTAL),
-            (VERTICAL, "r"): slot_index(self.reflect_mode, VERTICAL),
-            (HORIZONTAL, "t"): slot_index(self.transmit_mode, HORIZONTAL),
-            (VERTICAL, "t"): slot_index(self.transmit_mode, VERTICAL),
-        }
         cos_t = math.cos(self.theta)
         sin_t = math.sin(self.theta)
-        terms: dict[Occupation, complex] = {}
-        for occ, amp in polarized.state.amplitudes.items():
-            if any(occ[slot] for slot in out.values()):
-                raise ValueError("output rails must be empty before the splitter")
-            count = occ[in_h] + occ[in_v]
-            if count == 0:
-                terms[occ] = terms.get(occ, 0j) + amp
-                continue
-            if count > 1:
-                raise ValueError("splitter model handles at most one photon on its input rail")
-            reflected = cos_t * amp if occ[in_h] else -sin_t * amp
-            transmitted = sin_t * amp if occ[in_h] else cos_t * amp
-            cleared = list(occ)
-            cleared[in_h] = cleared[in_v] = 0
-            for branch_amp, arm, (pol_h, pol_v) in (
-                (reflected, "r", self.reflected_polarization()),
-                (transmitted, "t", self.transmitted_polarization()),
-            ):
-                for pol, weight in ((HORIZONTAL, pol_h), (VERTICAL, pol_v)):
-                    value = branch_amp * weight
-                    if value == 0:
-                        continue
-                    target = cleared.copy()
-                    target[out[(pol, arm)]] = 1
-                    key = tuple(target)
-                    terms[key] = terms.get(key, 0j) + value
-        return PolarizedPhotonState(
-            polarized.spatial_modes, PureState.from_terms(slots, terms)
+        # Per arm: amplitude factor of an H photon, of a V photon, rail, carried polarization.
+        arms = (
+            (cos_t, -sin_t, self.reflect_mode, self.reflected_polarization()),
+            (sin_t, cos_t, self.transmit_mode, self.transmitted_polarization()),
         )
+        out_slots = [
+            slot_index(rail, pol)
+            for rail in (self.reflect_mode, self.transmit_mode)
+            for pol in (HORIZONTAL, VERTICAL)
+        ]
+        if any(occ[slot] for occ in polarized.state.amplitudes for slot in out_slots):
+            raise ValueError("output rails must be empty before the splitter")
+
+        def outputs(was_h: bool, amp: complex):
+            for factor_h, factor_v, rail, (pol_h, pol_v) in arms:
+                branch = (factor_h if was_h else factor_v) * amp
+                yield slot_index(rail, HORIZONTAL), branch * pol_h
+                yield slot_index(rail, VERTICAL), branch * pol_v
+
+        return _route_photon(polarized, self.input_mode, outputs, "splitter")
 
 
 def phase_shift(polarized: PolarizedPhotonState, mode: int, phase: complex) -> PolarizedPhotonState:
     """Multiply every photon on ``mode`` (either polarization) by ``phase``."""
-    if abs(abs(phase) - 1.0) > 1e-12:
-        raise ValueError("phase factor must have unit modulus")
+    if not cmath.isfinite(phase) or abs(abs(phase) - 1.0) > 1e-12:
+        raise ValueError(f"phase factor must be finite and have unit modulus, got {phase!r}")
     h_slot = slot_index(mode, HORIZONTAL)
     v_slot = slot_index(mode, VERTICAL)
     terms = {
@@ -197,58 +239,29 @@ def rotate_polarization(
     polarized: PolarizedPhotonState, mode: int, theta: float
 ) -> PolarizedPhotonState:
     """Rotate the (H, V) amplitudes on one rail by [[cos, -sin], [sin, cos]]."""
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta!r}")
     h_slot = slot_index(mode, HORIZONTAL)
     v_slot = slot_index(mode, VERTICAL)
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
-    terms: dict[Occupation, complex] = {}
-    for occ, amp in polarized.state.amplitudes.items():
-        count = occ[h_slot] + occ[v_slot]
-        if count == 0:
-            terms[occ] = terms.get(occ, 0j) + amp
-            continue
-        if count > 1:
-            raise ValueError("rotation model handles at most one photon on the rail")
-        was_h = occ[h_slot] == 1
-        cleared = list(occ)
-        cleared[h_slot] = cleared[v_slot] = 0
-        for slot, weight in (
-            (h_slot, cos_t if was_h else -sin_t),
-            (v_slot, sin_t if was_h else cos_t),
-        ):
-            if weight == 0:
-                continue
-            target = cleared.copy()
-            target[slot] = 1
-            key = tuple(target)
-            terms[key] = terms.get(key, 0j) + amp * weight
-    return PolarizedPhotonState(
-        polarized.spatial_modes,
-        PureState.from_terms(polarized.state.mode_count, terms),
-    )
 
+    def outputs(was_h: bool, amp: complex):
+        return (
+            (h_slot, amp * (cos_t if was_h else -sin_t)),
+            (v_slot, amp * (sin_t if was_h else cos_t)),
+        )
 
-def input_qubit_state(qubit: QubitAmplitudes) -> PureState:
-    """Single rail carrying alpha |H> + beta |V>, as a two-slot state."""
-    return PureState.from_terms(2, {(1, 0): qubit.alpha, (0, 1): qubit.beta})
+    return _route_photon(polarized, mode, outputs, "rotation")
 
 
 def build_polarized_resource(rc: ResourceCoefficients) -> PolarizedPhotonState:
-    """Resource over 2n rails, one photon each.
+    """Resource over 2n rails, one photon each: the dual rail of the number resource.
 
     Term i polarizes the first i front rails and the last n-i back rails
     vertically, everything else horizontally, weighted by c_i.
     """
-    n = rc.n
-    slots = 4 * n
-    terms: dict[Occupation, complex] = {}
-    for i, coeff in enumerate(rc.amplitudes):
-        occ = [0] * slots
-        for rail in range(2 * n):
-            vertical = rail < i or (n + i) <= rail
-            occ[2 * rail + (1 if vertical else 0)] = 1
-        terms[tuple(occ)] = coeff
-    return PolarizedPhotonState(2 * n, PureState.from_terms(slots, terms))
+    return PolarizedPhotonState(2 * rc.n, dual_rail(build_resource_state(rc)))
 
 
 def run_oracle_polarization(
@@ -259,17 +272,15 @@ def run_oracle_polarization(
 ) -> list[TeleportOutcome]:
     """Exact slot-space simulation of the polarization protocol.
 
-    Applies the doubled Fourier transform (same matrix on the horizontal and
-    vertical slot blocks of rails 0..n), counts photons in every measured
-    slot, groups patterns by their vertical total, and hands them to
-    :func:`reconcile_outcomes`.  The corrective phase is a formula of the
-    pattern, never read from the simulated amplitudes.  Logical H enters the
-    horizontal block on rails {0, m+1..n} and the vertical block on rails
-    1..m; logical V enters on rails m..n and 0..m-1.  In each block the
-    logical-H sources are the logical-V sources shifted cyclically by one, so
-    each block contributes omega^(sum_l l*count_l) (see
-    :func:`fourier_phase`) and the phase is ``fourier_phase`` of the per-rail
-    totals h_l + v_l.
+    The dual rail of the number-encoded input x resource passes the doubled
+    Fourier transform F (x) 1 on rails 0..n.  Every measured slot is counted,
+    and :func:`reconcile_outcomes` checks the patterns, grouped by their
+    vertical total m, against the dual rail of the number-encoded branch
+    occupations.  The corrective phase is a formula of the pattern, never read
+    from the simulated amplitudes: logical H enters the H slots on rails
+    {0, m+1..n} and the V slots on rails 1..m, logical V enters on rails m..n
+    and 0..m-1, so in each polarization the two branches are one cyclic shift
+    apart and the phase is ``fourier_phase`` of the per-rail totals h_l + v_l.
     """
     n = rc.n
     if n > limit:
@@ -277,17 +288,12 @@ def run_oracle_polarization(
             f"polarization oracle limited to n <= {limit} (requested n={n}); "
             "raise the limit explicitly to go bigger"
         )
-    state = tensor(input_qubit_state(qubit), build_polarized_resource(rc).state)
-    total_slots = 2 * (2 * n + 1)
-    fourier = fourier_unitary(n + 1).matrix
-    doubled = np.zeros((2 * (n + 1), 2 * (n + 1)), dtype=complex)
-    doubled[: n + 1, : n + 1] = fourier
-    doubled[n + 1 :, n + 1 :] = fourier
-    h_slots = tuple(slot_index(mode, HORIZONTAL) for mode in range(n + 1))
-    v_slots = tuple(slot_index(mode, VERTICAL) for mode in range(n + 1))
-    transform = embed(ModeUnitary(doubled), h_slots + v_slots, total_slots)
+    state = dual_rail(tensor(qubit_state(qubit), build_resource_state(rc)))
+    doubled = ModeUnitary(np.kron(fourier_unitary(n + 1).matrix, np.eye(2)))
+    transform = embed(doubled, range(2 * (n + 1)), state.mode_count)
     evolved = apply(transform, state)
     measured = measure_photon_counts(evolved, range(2 * (n + 1)))
+    branches = [tuple(_dual(occ) for occ in number_branches(n, m)) for m in range(n + 2)]
 
     def read(pattern: Occupation, conditional: PureState, pat_tol: float):
         if sum(pattern) != n + 1:
@@ -295,7 +301,7 @@ def run_oracle_polarization(
                 f"pattern {pattern} detected {sum(pattern)} photons, expected {n + 1}"
             )
         m = sum(pattern[1::2])
-        return m, _spectator_occupations(n, m)
+        return m, branches[m]
 
     def phase_of(pattern: Occupation, m: int) -> complex:
         if qubit.alpha == 0 or qubit.beta == 0 or rc.at(m) == 0 or rc.at(m - 1) == 0:
@@ -306,38 +312,16 @@ def run_oracle_polarization(
     return reconcile_outcomes(rc, qubit, measured, read, phase_of)
 
 
-def _spectator_occupations(n: int, m: int) -> tuple[Occupation, ...]:
-    """Back-rail slot patterns the conditional state may hold at outcome m.
-
-    Back rails local 0..n-1 stand for global rails n+1..2n.  Failures leave
-    every back rail vertical at m = 0 and horizontal at m = n+1.  At success m
-    the qubit rides local rail m-1: rails before it are horizontal, rails
-    after it vertical; the logical-H occupation comes first, then logical-V.
-    """
-    horizontal = (1, 0)
-    vertical = (0, 1)
-    if m == 0:
-        return (vertical * n,)
-    if m == n + 1:
-        return (horizontal * n,)
-    prefix = horizontal * (m - 1)
-    suffix = vertical * (n - m)
-    return prefix + horizontal + suffix, prefix + vertical + suffix
-
-
 def teleported_state(
     rc: ResourceCoefficients, qubit: QubitAmplitudes, m: int
 ) -> PolarizedPhotonState:
     """Conditional single-rail state left by success outcome m."""
     if not 1 <= m <= rc.n:
         raise ValueError(f"success outcomes are 1..{rc.n}, got m={m}")
-    front = qubit.alpha * rc.at(m)
-    back = qubit.beta * rc.at(m - 1)
-    p_m = abs(front) ** 2 + abs(back) ** 2
-    if p_m == 0.0:
+    conditional = run_analytic(rc, qubit)[m].conditional_qubit
+    if conditional is None:
         raise ValueError(f"outcome m={m} never occurs for this input")
-    scale = 1.0 / math.sqrt(p_m)
-    return PolarizedPhotonState.single_photon(1, {0: (front * scale, back * scale)})
+    return PolarizedPhotonState.single_photon(1, {0: (conditional.alpha, conditional.beta)})
 
 
 class CircuitResult(NamedTuple):
@@ -379,17 +363,8 @@ def correction_circuit(
     if c_here == 0 and c_prev == 0:
         raise ValueError(f"outcome m={m} never occurs; nothing to correct")
 
-    slots = 2 * CIRCUIT_RAILS
-    widened = PolarizedPhotonState(
-        CIRCUIT_RAILS,
-        PureState.from_terms(
-            slots,
-            {
-                occ + (0,) * (slots - 2): amp
-                for occ, amp in teleported.state.amplitudes.items()
-            },
-        ),
-    )
+    vacuum = PureState.basis_state((0,) * (2 * CIRCUIT_RAILS - 2))
+    widened = PolarizedPhotonState(CIRCUIT_RAILS, tensor(teleported.state, vacuum))
     split = RotatedPBS(theta=0.0, input_mode=0, reflect_mode=1, transmit_mode=2)
     state = split.apply(widened)
 

@@ -350,7 +350,7 @@ def reconcile_outcomes(
     return outcomes
 
 
-def _number_branches(n: int, m: int) -> tuple[Occupation, ...]:
+def number_branches(n: int, m: int) -> tuple[Occupation, ...]:
     """Unmeasured-mode occupations the conditional state may hold at outcome m.
 
     Failures leave spectators only: every back mode occupied at m = 0, none at
@@ -394,7 +394,7 @@ def run_oracle(
         m = sum(pattern)
         if 1 <= m <= n and not _schmidt_rank_one(conditional.amplitudes, m - 1, pat_tol):
             raise OracleMismatchError(f"conditional state for pattern {pattern} does not factorize")
-        return m, _number_branches(n, m)
+        return m, number_branches(n, m)
 
     def phase_of(pattern: Occupation, m: int) -> complex:
         return derive_phase_correction(pattern, m, rc, qubit)

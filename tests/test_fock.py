@@ -65,6 +65,15 @@ def test_from_terms_prunes_negligible_amplitudes():
     assert state.amplitude((0,)) == 1.0
 
 
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), complex(1.0, float("nan")), complex(float("-inf"), 0.0)]
+)
+def test_from_terms_rejects_non_finite_amplitudes(bad):
+    # NaN fails every size comparison, so a plain pruning test would drop it silently.
+    with pytest.raises(ValueError, match="not finite"):
+        PureState.from_terms(1, {(0,): 0.6, (1,): bad})
+
+
 def test_basis_state_and_amplitude_lookup():
     state = PureState.basis_state((0, 2, 1))
     assert state.mode_count == 3
@@ -162,6 +171,20 @@ def test_qubit_amplitudes_enforce_normalization():
         QubitAmplitudes.from_unnormalized(0.0, 0.0)
     with pytest.raises(ValueError, match="finite"):
         QubitAmplitudes(float("nan"), 1.0)
+
+
+@pytest.mark.parametrize(
+    ("alpha", "beta", "message"),
+    [
+        (1e200, 0.0, "overflows a float"),
+        (1e160j, 1e160, "overflows a float"),
+        (float("inf"), 0.0, "overflows a float"),
+        (1e-170, 1e-170, "underflows a float"),
+    ],
+)
+def test_unnormalized_qubit_norm_out_of_float_range(alpha, beta, message):
+    with pytest.raises(ValueError, match=message):
+        QubitAmplitudes.from_unnormalized(alpha, beta)
 
 
 def test_qubit_fidelity_and_haar_sampling():

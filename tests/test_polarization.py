@@ -11,11 +11,13 @@ from klm_teleport import (
     VERTICAL,
     CircuitResult,
     PolarizedPhotonState,
+    PureState,
     QubitAmplitudes,
     ResourceCoefficients,
     RotatedPBS,
     build_polarized_resource,
     correction_circuit,
+    dual_rail,
     kraus_for,
     oracle_deviation,
     p_success_given_m,
@@ -159,6 +161,43 @@ def test_polarized_resource_structure():
     assert resource2.state.amplitude((0, 1, 1, 0, 1, 0, 0, 1)) == pytest.approx(
         1 / math.sqrt(3)
     )
+
+
+def test_dual_rail_maps_each_mode_to_an_h_v_pair():
+    state = PureState.from_terms(3, {(0, 1, 1): 0.6, (1, 0, 0): 0.8j})
+    image = dual_rail(state)
+    assert image.mode_count == 6
+    # Amplitudes and their order are kept; 0 photons -> H, 1 photon -> V.
+    assert list(image.amplitudes.items()) == [
+        ((1, 0, 0, 1, 0, 1), 0.6),
+        ((0, 1, 1, 0, 1, 0), 0.8j),
+    ]
+    with pytest.raises(ValueError, match="at most one photon"):
+        dual_rail(PureState.basis_state((2, 0)))
+
+
+_NAN = float("nan")
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        pytest.param(lambda s: phase_shift(s, 1, _NAN), id="phase-nan"),
+        pytest.param(lambda s: phase_shift(s, 1, complex(_NAN, 0.0)), id="phase-complex-nan"),
+        pytest.param(lambda s: phase_shift(s, 1, _INF), id="phase-inf"),
+        pytest.param(lambda s: rotate_polarization(s, 0, _NAN), id="rotate-nan"),
+        pytest.param(lambda s: rotate_polarization(s, 0, _INF), id="rotate-inf"),
+        pytest.param(lambda s: RotatedPBS(_NAN, 0, 2, 3), id="pbs-nan"),
+        pytest.param(lambda s: RotatedPBS(_INF, 0, 2, 3), id="pbs-inf"),
+        pytest.param(lambda s: RotatedPBS(-_INF, 0, 2, 3), id="pbs-minus-inf"),
+    ],
+)
+def test_non_finite_optics_parameters_are_rejected(operation):
+    # NaN fails every comparison, so an unchecked NaN would drop amplitude silently.
+    state = PolarizedPhotonState.single_photon(4, {0: (0.6, 0.0), 1: (0.0, 0.8)})
+    with pytest.raises(ValueError, match="finite"):
+        operation(state)
 
 
 def test_polarization_oracle_agrees_with_law():
