@@ -122,7 +122,7 @@ class PureState:
 
     def require_normalized(self, tol: float = 1e-9) -> None:
         dev = abs(self.norm() - 1.0)
-        if dev > tol:
+        if not dev <= tol:
             raise ValueError(f"state is not normalized (|norm - 1| = {dev:.3e})")
 
     def inner(self, other: "PureState") -> complex:

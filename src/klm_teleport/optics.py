@@ -7,8 +7,10 @@ transforms by plain matrix-vector multiplication with U.
 Two independent routes evaluate the same physics.  ``apply`` evolves a whole
 state by expanding prod_k (sum_l U[l, k] a_l^dag)^{S_k} one photon at a time,
 skipping zero entries of U, so a mode on which U is the identity passes
-through as a single exact term.  ``transition_amplitude`` evaluates one
-matrix element as a permanent,
+through as a single exact term.  It is the package's only Fock engine: both
+oracles evolve their input through it, and so does the polarization
+correction circuit, as one slot unitary.  ``transition_amplitude`` evaluates
+one matrix element as a permanent,
 
     <T| U |S> = per(U[S, T]) / sqrt(prod(S_i!) * prod(T_l!))
 
@@ -54,7 +56,7 @@ class ModeUnitary:
         if dim < 1:
             raise ValueError("mode unitary needs at least one mode")
         deviation = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
-        if deviation > UNITARY_TOL:
+        if not deviation <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -177,13 +179,13 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
         )
     state.require_normalized()
     mat = u.matrix
-    columns = [
-        [(int(l), complex(mat[l, k])) for l in np.flatnonzero(mat[:, k])]
-        for k in range(u.dimension)
-    ]
-    # Sparsest columns first: spectator photons are placed while the
-    # expansion is still a single term.
-    order = sorted(range(u.dimension), key=lambda k: len(columns[k]))
+    # Only columns of occupied modes are ever read.  Sparsest first: spectator
+    # photons are placed while the expansion is still a single term.
+    occupied = [k for k, counts in enumerate(zip(*state.amplitudes)) if any(counts)]
+    columns = {
+        k: [(int(l), complex(mat[l, k])) for l in np.flatnonzero(mat[:, k])] for k in occupied
+    }
+    order = sorted(occupied, key=lambda k: len(columns[k]))
     vacuum = (0,) * state.mode_count
     out: dict[Occupation, complex] = {}
     for occ, amp in state.amplitudes.items():

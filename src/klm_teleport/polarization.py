@@ -16,6 +16,10 @@ theta = arccos of the weaker-to-stronger coefficient ratio diverts excess
 amplitude toward a detector, a phase plate removes arg(c_{m-1}) - arg(c_m),
 and a polarization rotation restores the split component to the H/V basis.
 No click at the detector leaves the input qubit, exactly, on two rails.
+Every device is a linear-optical mode transformation, so each one is a slot
+unitary (H slot, then V slot, per rail) and the circuit is their product
+(Reck et al., PRL 73, 58 (1994)), evolved by the same ``optics.apply`` that
+runs both oracles.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from . import optics
 from .fock import Occupation, PureState, QubitAmplitudes, measure_photon_counts, tensor
 from .optics import ModeUnitary, apply, embed, fourier_unitary
 from .teleport import (
@@ -121,41 +126,47 @@ def _unit_occupation(slots: int, slot: int) -> Occupation:
     return tuple(1 if i == slot else 0 for i in range(slots))
 
 
-def _route_photon(
-    polarized: PolarizedPhotonState,
-    mode: int,
-    outputs: Callable[[bool, complex], Iterable[tuple[int, complex]]],
-    device: str,
-) -> PolarizedPhotonState:
-    """Clear rail ``mode`` and put its photon where ``outputs(was_h, amp)`` says.
+def _rail(mode: int) -> slice:
+    """The rail's two adjacent slots, H then V."""
+    return slice(slot_index(mode, HORIZONTAL), slot_index(mode, VERTICAL) + 1)
 
-    Terms without a photon there pass unchanged and exact-zero outputs are
-    skipped.  Callers compute the amplitudes themselves, so each one fixes the
-    order of its own multiplications.
-    """
-    h_slot = slot_index(mode, HORIZONTAL)
-    v_slot = slot_index(mode, VERTICAL)
-    terms: dict[Occupation, complex] = {}
-    for occ, amp in polarized.state.amplitudes.items():
-        count = occ[h_slot] + occ[v_slot]
-        if count == 0:
-            terms[occ] = terms.get(occ, 0j) + amp
-            continue
-        if count > 1:
+
+def _rotator(mat: np.ndarray, mode: int, theta: float) -> np.ndarray:
+    """Left-multiply slot matrix ``mat``, in place, by [[cos, -sin], [sin, cos]] on ``mode``."""
+    rows = _rail(mode)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    mat[rows] = np.array([[cos_t, -sin_t], [sin_t, cos_t]]) @ mat[rows]
+    return mat
+
+
+def _phase_plate(mat: np.ndarray, mode: int, phase: complex) -> np.ndarray:
+    """Left-multiply slot matrix ``mat``, in place, by ``phase`` on both slots of rail ``mode``."""
+    mat[_rail(mode)] *= phase
+    return mat
+
+
+def _check_device(
+    polarized: PolarizedPhotonState,
+    device: str,
+    rails: tuple[int, ...],
+    input_rail: int | None = None,
+    empty_rails: tuple[int, ...] = (),
+) -> None:
+    """Every rail must exist, ``input_rail`` may hold one photon at most, ``empty_rails`` none."""
+    if any(not 0 <= r < polarized.spatial_modes for r in rails):
+        raise ValueError(f"{device} rails {rails} exceed the state's spatial modes")
+    for occ in polarized.state.amplitudes:
+        if any(any(occ[_rail(r)]) for r in empty_rails):
+            raise ValueError(f"{device} output rails must be empty")
+        if input_rail is not None and sum(occ[_rail(input_rail)]) > 1:
             raise ValueError(f"{device} model handles at most one photon on its input rail")
-        cleared = list(occ)
-        cleared[h_slot] = cleared[v_slot] = 0
-        for slot, value in outputs(occ[h_slot] == 1, amp):
-            if value == 0:
-                continue
-            target = cleared.copy()
-            target[slot] = 1
-            key = tuple(target)
-            terms[key] = terms.get(key, 0j) + value
-    return PolarizedPhotonState(
-        polarized.spatial_modes,
-        PureState.from_terms(polarized.state.mode_count, terms),
-    )
+
+
+def _evolve(polarized: PolarizedPhotonState, device, *args) -> PolarizedPhotonState:
+    """Evolve ``polarized`` by the device's slot unitary, ``device(identity, *args)``."""
+    matrix = device(np.eye(2 * polarized.spatial_modes, dtype=complex), *args)
+    state = optics.apply(ModeUnitary(matrix), polarized.state)
+    return PolarizedPhotonState(polarized.spatial_modes, state)
 
 
 @dataclass(frozen=True)
@@ -169,9 +180,9 @@ class RotatedPBS:
         reflect:  (cos t * h - sin t * v)  carrying (cos t, -sin t),
         transmit: (sin t * h + cos t * v)  carrying (sin t, cos t).
 
-    ``apply`` handles arbitrary superpositions with at most one photon on the
-    input rail and empty output rails, which is all the correction circuit
-    ever produces.
+    The device is a slot unitary (see ``_compose``).  ``apply`` takes
+    normalized states with at most one photon on the input rail and empty
+    output rails, which is all the correction circuit ever produces.
     """
 
     theta: float
@@ -192,47 +203,33 @@ class RotatedPBS:
     def transmitted_polarization(self) -> tuple[float, float]:
         return (math.sin(self.theta), math.cos(self.theta))
 
+    def _compose(self, mat: np.ndarray) -> np.ndarray:
+        """Left-multiply slot matrix ``mat``, in place, by the splitter's slot unitary.
+
+        R(theta) on the input rail turns the reflected polarization into H and
+        the transmitted one into V, the swaps in_H <-> reflect_H and
+        in_V <-> transmit_V send each to its arm, and R(-theta) on both output
+        rails restores the polarization it carries.
+        """
+        _rotator(mat, self.input_mode, self.theta)
+        for rail, pol in ((self.reflect_mode, HORIZONTAL), (self.transmit_mode, VERTICAL)):
+            a, b = slot_index(self.input_mode, pol), slot_index(rail, pol)
+            mat[a], mat[b] = mat[b].copy(), mat[a].copy()
+        _rotator(mat, self.reflect_mode, -self.theta)
+        return _rotator(mat, self.transmit_mode, -self.theta)
+
     def apply(self, polarized: PolarizedPhotonState) -> PolarizedPhotonState:
-        if max(self.input_mode, self.reflect_mode, self.transmit_mode) >= polarized.spatial_modes:
-            raise ValueError("splitter rails exceed the state's spatial modes")
-        cos_t = math.cos(self.theta)
-        sin_t = math.sin(self.theta)
-        # Per arm: amplitude factor of an H photon, of a V photon, rail, carried polarization.
-        arms = (
-            (cos_t, -sin_t, self.reflect_mode, self.reflected_polarization()),
-            (sin_t, cos_t, self.transmit_mode, self.transmitted_polarization()),
-        )
-        out_slots = [
-            slot_index(rail, pol)
-            for rail in (self.reflect_mode, self.transmit_mode)
-            for pol in (HORIZONTAL, VERTICAL)
-        ]
-        if any(occ[slot] for occ in polarized.state.amplitudes for slot in out_slots):
-            raise ValueError("output rails must be empty before the splitter")
-
-        def outputs(was_h: bool, amp: complex):
-            for factor_h, factor_v, rail, (pol_h, pol_v) in arms:
-                branch = (factor_h if was_h else factor_v) * amp
-                yield slot_index(rail, HORIZONTAL), branch * pol_h
-                yield slot_index(rail, VERTICAL), branch * pol_v
-
-        return _route_photon(polarized, self.input_mode, outputs, "splitter")
+        outputs = (self.reflect_mode, self.transmit_mode)
+        _check_device(polarized, "splitter", (self.input_mode, *outputs), self.input_mode, outputs)
+        return _evolve(polarized, self._compose)
 
 
 def phase_shift(polarized: PolarizedPhotonState, mode: int, phase: complex) -> PolarizedPhotonState:
     """Multiply every photon on ``mode`` (either polarization) by ``phase``."""
     if not cmath.isfinite(phase) or abs(abs(phase) - 1.0) > 1e-12:
         raise ValueError(f"phase factor must be finite and have unit modulus, got {phase!r}")
-    h_slot = slot_index(mode, HORIZONTAL)
-    v_slot = slot_index(mode, VERTICAL)
-    terms = {
-        occ: amp * phase ** (occ[h_slot] + occ[v_slot])
-        for occ, amp in polarized.state.amplitudes.items()
-    }
-    return PolarizedPhotonState(
-        polarized.spatial_modes,
-        PureState.from_terms(polarized.state.mode_count, terms),
-    )
+    _check_device(polarized, "phase plate", (mode,))
+    return _evolve(polarized, _phase_plate, mode, phase)
 
 
 def rotate_polarization(
@@ -241,18 +238,8 @@ def rotate_polarization(
     """Rotate the (H, V) amplitudes on one rail by [[cos, -sin], [sin, cos]]."""
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta!r}")
-    h_slot = slot_index(mode, HORIZONTAL)
-    v_slot = slot_index(mode, VERTICAL)
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-
-    def outputs(was_h: bool, amp: complex):
-        return (
-            (h_slot, amp * (cos_t if was_h else -sin_t)),
-            (v_slot, amp * (sin_t if was_h else cos_t)),
-        )
-
-    return _route_photon(polarized, mode, outputs, "rotation")
+    _check_device(polarized, "rotation", (mode,), mode)
+    return _evolve(polarized, _rotator, mode, theta)
 
 
 def build_polarized_resource(rc: ResourceCoefficients) -> PolarizedPhotonState:
@@ -350,8 +337,10 @@ def correction_circuit(
     by theta = arccos(weak/strong) whose discard arm feeds the detector on
     rail 3, while rail 4 keeps the attenuated remainder.  A phase plate on the
     vertical-logic arm removes the coefficient phase difference and a
-    polarization rotation on rail 4 restores the H/V basis.  With no click,
-    rails then carry the original qubit; the success probability is
+    polarization rotation on rail 4 restores the H/V basis.  The circuit is
+    the product of these devices' slot unitaries, validated once as a single
+    10-slot :class:`ModeUnitary` and applied once.  With no click, rails then
+    carry the original qubit; the success probability is
     min(|c_{m-1}|^2, |c_m|^2) / p(m).
     """
     if teleported.spatial_modes != 1:
@@ -362,11 +351,6 @@ def correction_circuit(
     c_prev = rc.at(m - 1)
     if c_here == 0 and c_prev == 0:
         raise ValueError(f"outcome m={m} never occurs; nothing to correct")
-
-    vacuum = PureState.basis_state((0,) * (2 * CIRCUIT_RAILS - 2))
-    widened = PolarizedPhotonState(CIRCUIT_RAILS, tensor(teleported.state, vacuum))
-    split = RotatedPBS(theta=0.0, input_mode=0, reflect_mode=1, transmit_mode=2)
-    state = split.apply(widened)
 
     weight_here = abs(c_here) ** 2
     weight_prev = abs(c_prev) ** 2
@@ -385,12 +369,19 @@ def correction_circuit(
         )
         detector_polarization = trimmer.transmitted_polarization()
         h_rail, v_rail = _KEPT_RAIL, 2
-    state = trimmer.apply(state)
 
+    split = RotatedPBS(theta=0.0, input_mode=0, reflect_mode=1, transmit_mode=2)
+    circuit = trimmer._compose(split._compose(np.eye(2 * CIRCUIT_RAILS, dtype=complex)))
     if c_here != 0 and c_prev != 0:
         delta = cmath.phase(c_prev) - cmath.phase(c_here)
-        state = phase_shift(state, v_rail, cmath.exp(-1j * delta))
-    state = rotate_polarization(state, _KEPT_RAIL, theta)
+        _phase_plate(circuit, v_rail, cmath.exp(-1j * delta))
+    _rotator(circuit, _KEPT_RAIL, theta)
+
+    vacuum = PureState.basis_state((0,) * (2 * CIRCUIT_RAILS - 2))
+    widened = tensor(teleported.state, vacuum)
+    # optics.apply, not this module's ``apply``: bench/tracing.py counts that
+    # name as the oracle's evolution.
+    state = PolarizedPhotonState(CIRCUIT_RAILS, optics.apply(ModeUnitary(circuit), widened))
 
     pol_h, pol_v = detector_polarization
     detector_amplitude = (

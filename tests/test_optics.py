@@ -19,6 +19,7 @@ from klm_teleport import (
     embed,
     enumerate_basis,
     fourier_unitary,
+    measure_photon_counts,
     permanent,
     slot_index,
     tensor,
@@ -51,11 +52,20 @@ def test_fourier_unitary_entries():
         fourier_unitary(0)
 
 
-def test_mode_unitary_rejects_bad_matrices():
-    with pytest.raises(ValueError):
-        ModeUnitary(np.array([[1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        ModeUnitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param([[1.0, 0.0]], id="not-square"),
+        pytest.param([[1.0, 0.0], [0.0, 2.0]], id="not-unitary"),
+        # NaN fails every comparison, so a deviation test written as "> tol" passes it.
+        pytest.param([[math.nan, 0.0], [0.0, 1.0]], id="nan"),
+        pytest.param([[math.inf, 0.0], [0.0, 1.0]], id="inf"),
+    ],
+)
+def test_mode_unitary_rejects_bad_matrices(matrix):
+    # inf * 0 in the unitarity product is NaN; numpy's warning about it is not under test.
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        ModeUnitary(np.array(matrix))
 
 
 def test_embed_places_block_on_named_modes():
@@ -269,6 +279,11 @@ def test_apply_requires_matching_dimension_and_normalization():
         apply(u, random_state(2, 1, rng))
     with pytest.raises(ValueError):
         apply(u, random_state(3, 1, rng).scaled(0.5))
+    nan_norm = PureState(2, {(1, 0): math.nan, (0, 1): 1.0})
+    with pytest.raises(ValueError, match="not normalized"):
+        apply(ModeUnitary(np.eye(2)), nan_norm)
+    with pytest.raises(ValueError, match="not normalized"):
+        measure_photon_counts(nan_norm, [0])
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from klm_teleport import optics, polarization
 from klm_teleport import (
     HORIZONTAL,
     VERTICAL,
@@ -86,18 +87,25 @@ def test_pbs_output_polarizations_are_orthonormal():
     assert th**2 + tv**2 == pytest.approx(1.0)
 
 
-def test_rotated_pbs_splits_by_projection():
-    theta = 0.7
-    pbs = RotatedPBS(theta=theta, input_mode=0, reflect_mode=1, transmit_mode=2)
-    photon = PolarizedPhotonState.single_photon(3, {0: (1.0, 0.0)})
-    out = pbs.apply(photon)
-    # The H photon projects onto the two output polarizations.
-    assert out.mode_amplitudes(1) == pytest.approx(
-        (math.cos(theta) ** 2, -math.cos(theta) * math.sin(theta))
-    )
-    assert out.mode_amplitudes(2) == pytest.approx(
-        (math.sin(theta) ** 2, math.sin(theta) * math.cos(theta))
-    )
+_THETA = 0.7
+_COS = math.cos(_THETA)
+_SIN = math.sin(_THETA)
+
+
+@pytest.mark.parametrize(
+    "photon, reflected, transmitted",
+    [
+        pytest.param((1.0, 0.0), (_COS**2, -_COS * _SIN), (_SIN**2, _SIN * _COS), id="H"),
+        pytest.param((0.0, 1.0), (-_SIN * _COS, _SIN**2), (_COS * _SIN, _COS**2), id="V"),
+    ],
+)
+def test_rotated_pbs_splits_by_projection(photon, reflected, transmitted):
+    pbs = RotatedPBS(theta=_THETA, input_mode=0, reflect_mode=1, transmit_mode=2)
+    out = pbs.apply(PolarizedPhotonState.single_photon(3, {0: photon}))
+    # The photon projects onto the two output polarizations.
+    assert out.mode_amplitudes(0) == (0j, 0j)
+    assert out.mode_amplitudes(1) == pytest.approx(reflected, abs=1e-15)
+    assert out.mode_amplitudes(2) == pytest.approx(transmitted, abs=1e-15)
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -121,6 +129,17 @@ def test_pbs_rejects_bad_configurations():
     two_photons = PolarizedPhotonState(3, PureState.basis_state((1, 1, 0, 0, 0, 0)))
     with pytest.raises(ValueError, match="one photon"):
         pbs.apply(two_photons)
+    with pytest.raises(ValueError, match="one photon"):
+        rotate_polarization(two_photons, 0, 0.3)
+
+
+@pytest.mark.parametrize("mode", [-1, 2])
+def test_single_rail_devices_refuse_missing_rails(mode):
+    state = PolarizedPhotonState.single_photon(2, {0: (0.6, 0.0), 1: (0.0, 0.8)})
+    with pytest.raises(ValueError, match="exceed"):
+        phase_shift(state, mode, 1j)
+    with pytest.raises(ValueError, match="exceed"):
+        rotate_polarization(state, mode, 0.3)
 
 
 def test_phase_shift_targets_one_rail():
@@ -295,24 +314,39 @@ def test_correction_circuit_validation():
         correction_circuit(1, WORKED, wide)
 
 
-def test_circuit_matches_kraus_route():
-    rng = np.random.default_rng(61)
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
+def test_correction_circuit_runs_the_engine_once(monkeypatch):
+    engine = optics.apply
+    calls = []
+
+    def counting_apply(u, state):
+        calls.append(u.dimension)
+        return engine(u, state)
+
+    monkeypatch.setattr(optics, "apply", counting_apply)
+    # The module's own ``apply`` name is the oracle's evolution, never the circuit's.
+    monkeypatch.setattr(polarization, "apply", None)
+    correction_circuit(1, WORKED, teleported_state(WORKED, balanced(), 1))
+    assert calls == [10]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_circuit_matches_kraus_route(n):
+    rng = np.random.default_rng(61 + n)
+    for _ in range(3):
         rc = random_coefficients(n, rng)
         q = random_qubit(rng)
         outcomes = run_analytic(rc, q)
-        m = int(rng.integers(1, n + 1))
-        if outcomes[m].probability < 1e-9:
-            continue
-        result = correction_circuit(m, rc, teleported_state(rc, q, m))
-        assert result.p_success == pytest.approx(p_success_given_m(m, rc, q), abs=1e-10)
-        pair = kraus_for(m, rc)
-        conditional = outcomes[m].conditional_qubit.as_array()
-        survived = pair.success @ conditional
-        assert np.vdot(survived, survived).real == pytest.approx(result.p_success, abs=1e-12)
-        recovered = QubitAmplitudes.from_unnormalized(*survived)
-        assert recovered.fidelity_with(result.recovered) == pytest.approx(1.0, abs=1e-10)
+        for m in range(1, n + 1):
+            if outcomes[m].probability < 1e-9:
+                continue
+            result = correction_circuit(m, rc, teleported_state(rc, q, m))
+            assert result.p_success == pytest.approx(p_success_given_m(m, rc, q), abs=1e-10)
+            pair = kraus_for(m, rc)
+            conditional = outcomes[m].conditional_qubit.as_array()
+            survived = pair.success @ conditional
+            assert np.vdot(survived, survived).real == pytest.approx(result.p_success, abs=1e-12)
+            recovered = QubitAmplitudes.from_unnormalized(*survived)
+            assert recovered.fidelity_with(result.recovered) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_circuit_result_is_named_tuple():
