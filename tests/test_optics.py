@@ -52,20 +52,18 @@ def test_fourier_unitary_entries():
         fourier_unitary(0)
 
 
-@pytest.mark.parametrize(
-    "matrix",
-    [
-        pytest.param([[1.0, 0.0]], id="not-square"),
-        pytest.param([[1.0, 0.0], [0.0, 2.0]], id="not-unitary"),
+def test_mode_unitary_rejects_bad_matrices():
+    bad = [
+        [[1.0, 0.0]],  # not square
+        [[1.0, 0.0], [0.0, 2.0]],  # not unitary
         # NaN fails every comparison, so a deviation test written as "> tol" passes it.
-        pytest.param([[math.nan, 0.0], [0.0, 1.0]], id="nan"),
-        pytest.param([[math.inf, 0.0], [0.0, 1.0]], id="inf"),
-    ],
-)
-def test_mode_unitary_rejects_bad_matrices(matrix):
-    # inf * 0 in the unitarity product is NaN; numpy's warning about it is not under test.
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        ModeUnitary(np.array(matrix))
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+    ]
+    for matrix in bad:
+        # inf * 0 in the unitarity product is NaN; numpy's warning about it is not under test.
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            ModeUnitary(np.array(matrix))
 
 
 def test_embed_places_block_on_named_modes():

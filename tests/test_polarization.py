@@ -92,21 +92,20 @@ _COS = math.cos(_THETA)
 _SIN = math.sin(_THETA)
 
 
-@pytest.mark.parametrize(
-    "photon, reflected, transmitted",
-    [
-        pytest.param((1.0, 0.0), (_COS**2, -_COS * _SIN), (_SIN**2, _SIN * _COS), id="H"),
-        pytest.param((0.0, 1.0), (-_SIN * _COS, _SIN**2), (_COS * _SIN, _COS**2), id="V"),
-    ],
-)
-def test_rotated_pbs_splits_by_projection(photon, reflected, transmitted):
+def test_rotated_pbs_splits_by_projection():
     pbs = RotatedPBS(theta=_THETA, input_mode=0, reflect_mode=1, transmit_mode=2)
-    out = pbs.apply(PolarizedPhotonState.single_photon(3, {0: photon}))
-    # The photon projects onto the two output polarizations.
-    assert out.mode_amplitudes(0) == (0j, 0j)
-    assert out.mode_amplitudes(1) == pytest.approx(reflected, abs=1e-15)
-    assert out.mode_amplitudes(2) == pytest.approx(transmitted, abs=1e-15)
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    cases = [
+        # (photon, reflected, transmitted) for an H photon, then a V photon.
+        ((1.0, 0.0), (_COS**2, -_COS * _SIN), (_SIN**2, _SIN * _COS)),
+        ((0.0, 1.0), (-_SIN * _COS, _SIN**2), (_COS * _SIN, _COS**2)),
+    ]
+    for photon, reflected, transmitted in cases:
+        out = pbs.apply(PolarizedPhotonState.single_photon(3, {0: photon}))
+        # The photon projects onto the two output polarizations.
+        assert out.mode_amplitudes(0) == (0j, 0j)
+        assert out.mode_amplitudes(1) == pytest.approx(reflected, abs=1e-15)
+        assert out.mode_amplitudes(2) == pytest.approx(transmitted, abs=1e-15)
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pbs_rejects_bad_configurations():
@@ -329,8 +328,12 @@ def test_correction_circuit_runs_the_engine_once(monkeypatch):
     assert calls == [10]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_circuit_matches_kraus_route(n):
+def test_circuit_matches_kraus_route():
+    for n in range(1, 7):
+        _check_circuit_matches_kraus_route(n)
+
+
+def _check_circuit_matches_kraus_route(n):
     rng = np.random.default_rng(61 + n)
     for _ in range(3):
         rc = random_coefficients(n, rng)
