@@ -4,7 +4,7 @@ Four subcommands:
 
 * ``teleport``  — outcome table for one resource/input pair (JSON or CSV),
   optionally reconciled against the exact Fock-space oracle, which runs up
-  to n = 6 unless ``--oracle-limit`` says otherwise.
+  to n = 8 unless ``--oracle-limit`` says otherwise.
 * ``psuccess``  — brute-force versus extrema-formula success probability.
 * ``optimize``  — maximize success probability or average fidelity over the
   resource weights; emits the full optimization report.

@@ -12,7 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -56,13 +57,28 @@ def basis_dimension(modes: int, total_photons: int) -> int:
     return math.comb(total_photons + modes - 1, modes - 1)
 
 
+def _significant(terms: Iterable[tuple[Occupation, complex]]) -> dict[Occupation, complex]:
+    """Amplitude map without entries of magnitude <= ``PRUNE_EPS``; NaN or inf raises."""
+    cleaned = {}
+    inf = math.inf
+    for occ, a in terms:
+        size = abs(a)
+        if PRUNE_EPS < size < inf:
+            cleaned[occ] = complex(a)
+        elif not size <= PRUNE_EPS:
+            raise ValueError(f"amplitude {a!r} of occupation {occ} is not finite")
+    return cleaned
+
+
 @dataclass(frozen=True)
 class PureState:
     """Sparse multimode pure state: occupation tuple -> complex amplitude.
 
-    Zero amplitudes are kept out of the map by the constructors below;
-    ``mode_count == 0`` is allowed and describes the trivial (fully measured)
-    remainder with the single key ``()``.
+    The constructor refuses an occupation of the wrong length, a negative
+    photon count and a NaN or infinite amplitude.  Zero amplitudes are kept
+    out of the map by the constructors below; ``mode_count == 0`` is allowed
+    and describes the trivial (fully measured) remainder with the single key
+    ``()``.
     """
 
     mode_count: int
@@ -71,11 +87,26 @@ class PureState:
     def __post_init__(self) -> None:
         if self.mode_count < 0:
             raise ValueError("mode count must be nonnegative")
-        for occ in self.amplitudes:
+        for occ, amp in self.amplitudes.items():
             if len(occ) != self.mode_count:
                 raise ValueError(f"occupation {occ} does not match mode count {self.mode_count}")
             if any(k < 0 for k in occ):
                 raise ValueError(f"negative photon count in occupation {occ}")
+            if not cmath.isfinite(amp):
+                raise ValueError(f"amplitude {amp!r} of occupation {occ} is not finite")
+
+    @classmethod
+    def _derived(cls, mode_count: int, amplitudes: dict[Occupation, complex]) -> "PureState":
+        """State whose occupations the engine derived from an already-checked state.
+
+        Skips ``__post_init__``: every key has ``mode_count`` nonnegative
+        entries by construction and every amplitude is finite.  Internal only;
+        input from outside the package goes through the public constructor.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "mode_count", mode_count)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
 
     @classmethod
     def basis_state(cls, occupation: Iterable[int]) -> "PureState":
@@ -88,15 +119,7 @@ class PureState:
 
         A NaN or infinite amplitude raises ``ValueError``; it is never dropped.
         """
-        cleaned = {}
-        inf = math.inf
-        for occ, a in terms.items():
-            size = abs(a)
-            if PRUNE_EPS < size < inf:
-                cleaned[occ] = complex(a)
-            elif not size <= PRUNE_EPS:
-                raise ValueError(f"amplitude {a!r} of occupation {occ} is not finite")
-        return cls(mode_count, cleaned)
+        return cls(mode_count, _significant(terms.items()))
 
     def amplitude(self, occupation: Iterable[int]) -> complex:
         return self.amplitudes.get(tuple(occupation), 0j)
@@ -116,8 +139,9 @@ class PureState:
         )
 
     def pruned(self, eps: float = PRUNE_EPS) -> "PureState":
+        # "not <=" keeps a NaN, so the constructor refuses it instead of dropping it.
         return PureState(
-            self.mode_count, {occ: a for occ, a in self.amplitudes.items() if abs(a) > eps}
+            self.mode_count, {occ: a for occ, a in self.amplitudes.items() if not abs(a) <= eps}
         )
 
     def require_normalized(self, tol: float = 1e-9) -> None:
@@ -145,7 +169,18 @@ def tensor(left: PureState, right: PureState) -> PureState:
     for occ_l, amp_l in left.amplitudes.items():
         for occ_r, amp_r in right.amplitudes.items():
             combined[occ_l + occ_r] = amp_l * amp_r
-    return PureState.from_terms(left.mode_count + right.mode_count, combined)
+    return PureState._derived(left.mode_count + right.mode_count, _significant(combined.items()))
+
+
+def _picker(indices: list[int]) -> Callable[[Occupation], Occupation]:
+    """Occupation -> the tuple of its entries at ``indices``."""
+    if len(indices) == 1:
+        # itemgetter with a single index returns the entry, not a 1-tuple.
+        (index,) = indices
+        return lambda occ: (occ[index],)
+    if not indices:
+        return lambda occ: ()
+    return itemgetter(*indices)
 
 
 class MeasurementOutcome(NamedTuple):
@@ -174,12 +209,11 @@ def measure_photon_counts(
     state.require_normalized()
     mset = set(modes)
     keep = [i for i in range(state.mode_count) if i not in mset]
+    pattern_of, rest_of = _picker(modes), _picker(keep)
 
     grouped: dict[Occupation, dict[Occupation, complex]] = {}
     for occ, amp in state.amplitudes.items():
-        pattern = tuple(occ[i] for i in modes)
-        rest = tuple(occ[i] for i in keep)
-        grouped.setdefault(pattern, {})[rest] = amp
+        grouped.setdefault(pattern_of(occ), {})[rest_of(occ)] = amp
 
     outcomes: list[MeasurementOutcome] = []
     for pattern in sorted(grouped):
@@ -188,7 +222,7 @@ def measure_photon_counts(
         if prob < OUTCOME_EPS:
             continue
         scale = 1.0 / math.sqrt(prob)
-        conditional = PureState(len(keep), {occ: a * scale for occ, a in branch.items()})
+        conditional = PureState._derived(len(keep), {occ: a * scale for occ, a in branch.items()})
         outcomes.append(MeasurementOutcome(pattern, prob, conditional))
     return outcomes
 

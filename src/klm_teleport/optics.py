@@ -34,12 +34,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import Occupation, PureState
+from .fock import Occupation, PureState, _significant
 
 #: Tolerance for the unitarity check on construction.
 UNITARY_TOL = 1e-12
 
-_FACTORIAL = [math.factorial(i) for i in range(40)]
+#: Most photons one term may hold in ``apply``.  The factorial table covers
+#: 0..MAX_PHOTONS, and since no mode can then hold 256 photons, one byte per
+#: mode is enough for ``apply``'s packed monomials.
+MAX_PHOTONS = 39
+_FACTORIAL = [math.factorial(i) for i in range(MAX_PHOTONS + 1)]
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,8 @@ class ModeUnitary:
         dim = mat.shape[0]
         if dim < 1:
             raise ValueError("mode unitary needs at least one mode")
+        if not np.isfinite(mat).all():
+            raise ValueError("mode unitary entries must be finite")
         deviation = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
         if not deviation <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")
@@ -172,42 +178,61 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
     prod_l (a_l^dag)^{T_l} then contributes sqrt(prod T_l! / prod S_k!) to the
     amplitude of |T>.  Photon number is conserved; amplitudes below the
     pruning threshold are dropped from the result.
+
+    Bounds: the state must be normalized (within 1e-9) and no source term may
+    hold more than ``MAX_PHOTONS`` photons, or ``ValueError`` is raised.
+    While expanding, a monomial is one integer with a byte per mode, mode 0
+    most significant, so placing a photon in mode l adds 256^(modes-1-l); the
+    photon bound keeps every byte below 256, and integer order is the
+    lexicographic order of the occupations.
     """
     if u.dimension != state.mode_count:
         raise ValueError(
             f"unitary acts on {u.dimension} modes but the state has {state.mode_count}"
         )
     state.require_normalized()
+    heaviest = max(map(sum, state.amplitudes))
+    if heaviest > MAX_PHOTONS:
+        raise ValueError(
+            f"a term holds {heaviest} photons; apply supports at most {MAX_PHOTONS} per term"
+        )
+    modes = state.mode_count
     mat = u.matrix
+    place = [1 << 8 * (modes - 1 - l) for l in range(modes)]
     # Only columns of occupied modes are ever read.  Sparsest first: spectator
     # photons are placed while the expansion is still a single term.
     occupied = [k for k, counts in enumerate(zip(*state.amplitudes)) if any(counts)]
     columns = {
-        k: [(int(l), complex(mat[l, k])) for l in np.flatnonzero(mat[:, k])] for k in occupied
+        k: [(place[l], complex(mat[l, k])) for l in np.flatnonzero(mat[:, k])] for k in occupied
     }
     order = sorted(occupied, key=lambda k: len(columns[k]))
-    vacuum = (0,) * state.mode_count
-    out: dict[Occupation, complex] = {}
+    targets: dict[int, tuple[Occupation, int]] = {}
+    out: dict[int, complex] = {}
     for occ, amp in state.amplitudes.items():
-        monomials = {vacuum: amp}
+        monomials = {0: amp}
         src_fact = 1
         for k in order:
             count = occ[k]
             src_fact *= _FACTORIAL[count]
             for _ in range(count):
-                grown: dict[Occupation, complex] = {}
+                grown: dict[int, complex] = {}
                 for mono, coeff in monomials.items():
-                    for l, entry in columns[k]:
-                        key = mono[:l] + (mono[l] + 1,) + mono[l + 1 :]
+                    for step, entry in columns[k]:
+                        key = mono + step
                         grown[key] = grown.get(key, 0j) + coeff * entry
                 monomials = grown
-        for key, coeff in monomials.items():
-            tgt_fact = 1
-            for t in key:
-                tgt_fact *= _FACTORIAL[t]
-            out[key] = out.get(key, 0j) + coeff * math.sqrt(tgt_fact / src_fact)
+        for code, coeff in monomials.items():
+            target = targets.get(code)
+            if target is None:
+                key = tuple(code.to_bytes(modes, "big"))
+                tgt_fact = 1
+                for t in key:
+                    tgt_fact *= _FACTORIAL[t]
+                target = targets[code] = (key, tgt_fact)
+            out[code] = out.get(code, 0j) + coeff * math.sqrt(target[1] / src_fact)
 
-    result = PureState.from_terms(state.mode_count, out)
+    terms = _significant((targets[code][0], a) for code, a in out.items())
+    result = PureState._derived(modes, terms)
     drift = abs(result.norm() - 1.0)
     if drift > 1e-10:
         raise RuntimeError(f"unitary application lost normalization (drift {drift:.3e})")

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import optics
 from .fock import Occupation, PureState, QubitAmplitudes, measure_photon_counts, tensor
-from .optics import ModeUnitary, apply, embed, fourier_unitary
+from .optics import UNITARY_TOL, ModeUnitary, apply, embed, fourier_unitary
 from .teleport import (
     OracleMismatchError,
     ResourceCoefficients,
@@ -50,7 +50,7 @@ HORIZONTAL = "H"
 VERTICAL = "V"
 
 #: Largest n for which the polarization oracle runs by default.
-POLARIZATION_ORACLE_LIMIT = 4
+POLARIZATION_ORACLE_LIMIT = 5
 
 
 def slot_index(mode: int, polarization: str) -> int:
@@ -74,7 +74,9 @@ def dual_rail(state: PureState) -> PureState:
 
     Amplitudes and their order are kept; more than one photon in a mode raises.
     """
-    return PureState(2 * state.mode_count, {_dual(o): a for o, a in state.amplitudes.items()})
+    return PureState._derived(
+        2 * state.mode_count, {_dual(o): a for o, a in state.amplitudes.items()}
+    )
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ class PolarizedPhotonState:
 
 
 def _unit_occupation(slots: int, slot: int) -> Occupation:
-    return tuple(1 if i == slot else 0 for i in range(slots))
+    return (0,) * slot + (1,) + (0,) * (slots - slot - 1)
 
 
 def _rail(mode: int) -> slice:
@@ -133,6 +135,9 @@ def _rail(mode: int) -> slice:
 
 def _rotator(mat: np.ndarray, mode: int, theta: float) -> np.ndarray:
     """Left-multiply slot matrix ``mat``, in place, by [[cos, -sin], [sin, cos]] on ``mode``."""
+    if theta == 0:
+        # The identity, as at every rotation of the theta = 0 splitter.
+        return mat
     rows = _rail(mode)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     mat[rows] = np.array([[cos_t, -sin_t], [sin_t, cos_t]]) @ mat[rows]
@@ -225,8 +230,13 @@ class RotatedPBS:
 
 
 def phase_shift(polarized: PolarizedPhotonState, mode: int, phase: complex) -> PolarizedPhotonState:
-    """Multiply every photon on ``mode`` (either polarization) by ``phase``."""
-    if not cmath.isfinite(phase) or abs(abs(phase) - 1.0) > 1e-12:
+    """Multiply every photon on ``mode`` (either polarization) by ``phase``.
+
+    The phase is judged by the quantity the plate's ``ModeUnitary`` checks,
+    | |phase|^2 - 1 | against ``UNITARY_TOL``.
+    """
+    modulus = abs(phase)
+    if not abs(modulus * modulus - 1.0) <= UNITARY_TOL:
         raise ValueError(f"phase factor must be finite and have unit modulus, got {phase!r}")
     _check_device(polarized, "phase plate", (mode,))
     return _evolve(polarized, _phase_plate, mode, phase)

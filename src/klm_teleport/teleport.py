@@ -45,7 +45,7 @@ from .optics import apply, embed, fourier_unitary
 from .optics import transition_amplitude  # noqa: F401
 
 #: Largest n for which the exact Fock-space oracle runs by default.
-ORACLE_LIMIT = 6
+ORACLE_LIMIT = 8
 #: Largest n that ``optimize.maximize`` accepts.  Its dense (n+1)x(n+1)
 #: eigenproblem and (n+2)x(n+1) Nelder-Mead simplex take ~8 MB each here, so
 #: a larger n is refused up front instead of failing to allocate.
@@ -274,6 +274,16 @@ def reconcile_outcomes(
     """
     n = rc.n
     analytic = run_analytic(rc, qubit)
+    # The law's branch magnitudes depend on m alone.
+    expected = [
+        (
+            abs(qubit.alpha * rc.at(law.m)) / math.sqrt(law.probability),
+            abs(qubit.beta * rc.at(law.m - 1)) / math.sqrt(law.probability),
+        )
+        if law.probability > 0
+        else (0.0, 0.0)
+        for law in analytic
+    ]
     per_m_patterns: dict[int, list[PatternRecord]] = {}
     per_m_qubit: dict[int, tuple[float, QubitAmplitudes]] = {}
 
@@ -294,8 +304,9 @@ def reconcile_outcomes(
             records.append(PatternRecord(pattern, prob, 1 + 0j, float("nan")))
             continue
 
-        amp0 = conditional.amplitude(occupations[0])
-        amp1 = conditional.amplitude(occupations[1])
+        amplitudes = conditional.amplitudes
+        amp0 = amplitudes.get(occupations[0], 0j)
+        amp1 = amplitudes.get(occupations[1], 0j)
         stray = max(0.0, 1.0 - abs(amp0) ** 2 - abs(amp1) ** 2)
         if stray > pat_tol:
             raise OracleMismatchError(
@@ -303,9 +314,7 @@ def reconcile_outcomes(
             )
 
         law = analytic[m]
-        p_m = law.probability
-        expected0 = abs(qubit.alpha * rc.at(m)) / math.sqrt(p_m) if p_m > 0 else 0.0
-        expected1 = abs(qubit.beta * rc.at(m - 1)) / math.sqrt(p_m) if p_m > 0 else 0.0
+        expected0, expected1 = expected[m]
         if abs(abs(amp0) - expected0) > pat_tol or abs(abs(amp1) - expected1) > pat_tol:
             raise OracleMismatchError(
                 f"pattern {pattern} magnitudes ({abs(amp0):.12f}, {abs(amp1):.12f}) "

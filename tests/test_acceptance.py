@@ -73,8 +73,9 @@ def test_uniform_success_probability():
 def test_fock_oracle_equivalence():
     # The exact multiphoton simulation reproduces the analytic outcome law:
     # aggregated probabilities and phase-corrected conditional qubits agree.
-    # Every size runs within its oracle's default limit.  The n = 6 runs come
-    # last so the earlier runs keep their random stream.
+    # Every size runs within its oracle's default limit.  Each later size was
+    # appended after the runs before it, so the earlier runs keep their
+    # random stream.
     with criterion("fock-oracle-equivalence", 120.0) as info:
         rng = np.random.default_rng(101)
         worst = 0.0
@@ -82,6 +83,7 @@ def test_fock_oracle_equivalence():
         runs.append((run_oracle, 5, 10))
         runs += [(run_oracle_polarization, n, 10) for n in range(1, 5)]
         runs.append((run_oracle, 6, 10))
+        runs += [(run_oracle, 7, 3), (run_oracle, 8, 1), (run_oracle_polarization, 5, 3)]
         for oracle_of, n, count in runs:
             for _ in range(count):
                 rc = random_coefficients(n, rng)
@@ -91,7 +93,8 @@ def test_fock_oracle_equivalence():
                 worst = max(worst, oracle_deviation(analytic, oracle))
         assert worst < 1e-10
         info["detail"] = (
-            f"max deviation {worst:.2e} over 140 runs: number n=1..6, polarization n=1..4"
+            f"max deviation {worst:.2e} over {sum(count for _, _, count in runs)} runs: "
+            "number n=1..8, polarization n=1..5"
         )
 
 

@@ -230,7 +230,7 @@ def test_module_entry_point_runs():
         ["teleport", "--n", "1", "--coeffs", "uniform", "--squared"],
         ["teleport", "--n", "1", "--coeffs", "uniform", "--qubit", "0,0+0,0"],
         ["teleport", "--n", "1", "--coeffs", "uniform", "--qubit", "nonsense"],
-        ["teleport", "--n", "7", "--coeffs", "uniform", "--oracle"],
+        ["teleport", "--n", "9", "--coeffs", "uniform", "--oracle"],  # past ORACLE_LIMIT
         ["teleport", "--n", "1", "--coeffs", "file:/no/such/file.json"],
         ["optimize", "--objective", "success", "--n", "2", "--restarts", "0"],
         ["optimize", "--objective", "avgfid", "--n", "2", "--samples", "1"],
@@ -385,10 +385,10 @@ def test_underflowing_norms_are_named(tmp_path, capsys):
 
 
 def test_oracle_limit_refusal_names_the_limit(capsys):
-    code = main(["teleport", "--n", "7", "--coeffs", "uniform", "--oracle"])
+    code = main(["teleport", "--n", "9", "--coeffs", "uniform", "--oracle"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "n <= 6" in captured.err
+    assert "n <= 8" in captured.err
 
 
 def test_oracle_mismatch_exits_three(capsys, monkeypatch):

@@ -74,6 +74,19 @@ def test_from_terms_rejects_non_finite_amplitudes(bad):
         PureState.from_terms(1, {(0,): 0.6, (1,): bad})
 
 
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), complex(1.0, float("nan")), complex(float("-inf"), 0.0)]
+)
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        PureState(2, {(1, 0): bad, (0, 1): 1.0})
+    # pruned keeps a NaN (NaN > eps is False) so the constructor can refuse it.
+    state = PureState(2, {(1, 0): 0.6, (0, 1): 0.8})
+    state.amplitudes[(1, 0)] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        state.pruned()
+
+
 def test_basis_state_and_amplitude_lookup():
     state = PureState.basis_state((0, 2, 1))
     assert state.mode_count == 3
@@ -160,6 +173,19 @@ def test_measuring_all_modes_leaves_trivial_conditional():
         assert outcome.probability == pytest.approx(0.5)
         assert outcome.conditional.mode_count == 0
         assert abs(outcome.conditional.amplitude(())) == pytest.approx(1.0)
+
+
+def test_measurement_patterns_are_tuples_for_one_measured_or_kept_mode():
+    rng = np.random.default_rng(12)
+    state = random_state(2, 2, rng)
+    for measured, kept in (([0], 1), ([1], 0)):
+        outcomes = measure_photon_counts(state, measured)
+        assert [o.pattern for o in outcomes] == [(0,), (1,), (2,)]
+        for pattern, prob, conditional in outcomes:
+            assert list(conditional.amplitudes) == [(2 - pattern[0],)]
+            occ = [0, 0]
+            occ[measured[0]], occ[kept] = pattern[0], 2 - pattern[0]
+            assert abs(state.amplitude(occ)) ** 2 == pytest.approx(prob, abs=1e-15)
 
 
 def test_qubit_amplitudes_enforce_normalization():

@@ -1,6 +1,7 @@
 """Mode unitaries, permanents, and multiphoton transition amplitudes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from klm_teleport import (
     embed,
     enumerate_basis,
     fourier_unitary,
-    measure_photon_counts,
     permanent,
     slot_index,
     tensor,
@@ -61,9 +61,12 @@ def test_mode_unitary_rejects_bad_matrices():
         [[math.inf, 0.0], [0.0, 1.0]],
     ]
     for matrix in bad:
-        # inf * 0 in the unitarity product is NaN; numpy's warning about it is not under test.
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            ModeUnitary(np.array(matrix))
+        # Non-finite entries are refused before the unitarity product, so no
+        # numpy warning about inf * 0 escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                ModeUnitary(np.array(matrix))
 
 
 def test_embed_places_block_on_named_modes():
@@ -277,11 +280,38 @@ def test_apply_requires_matching_dimension_and_normalization():
         apply(u, random_state(2, 1, rng))
     with pytest.raises(ValueError):
         apply(u, random_state(3, 1, rng).scaled(0.5))
-    nan_norm = PureState(2, {(1, 0): math.nan, (0, 1): 1.0})
-    with pytest.raises(ValueError, match="not normalized"):
-        apply(ModeUnitary(np.eye(2)), nan_norm)
-    with pytest.raises(ValueError, match="not normalized"):
-        measure_photon_counts(nan_norm, [0])
+    # A NaN amplitude never reaches apply or measure_photon_counts: the
+    # constructor refuses it.
+    with pytest.raises(ValueError, match="not finite"):
+        PureState(2, {(1, 0): math.nan, (0, 1): 1.0})
+
+
+def test_apply_handles_39_photons_per_term_and_refuses_40():
+    # A 39-photon permanent is out of reach of the Gray-code reference, so a
+    # crowd of spectators sits on a mode the unitary leaves alone and the
+    # two interfering photons are checked against transition_amplitude.
+    rng = np.random.default_rng(39)
+    block = ModeUnitary(random_unitary(2, rng))
+    u = embed(block, (1, 2), 3)
+    evolved = apply(u, PureState.basis_state((37, 1, 1)))
+    targets = enumerate_basis(2, 2)
+    for a, b in targets:
+        expected = transition_amplitude(block, (1, 1), (a, b))
+        assert evolved.amplitude((37, a, b)) == pytest.approx(expected, abs=1e-12)
+    assert len(evolved.amplitudes) == len(targets)
+    # All 39 photons through a real splitter: |39, 0> becomes
+    # sum_k sqrt(C(39, k)) cos^(39-k) sin^k |39-k, k>.
+    theta = 0.3
+    c, s = math.cos(theta), math.sin(theta)
+    splitter = ModeUnitary(np.array([[c, -s], [s, c]]))
+    evolved = apply(splitter, PureState.basis_state((39, 0)))
+    for k in range(40):
+        expected = math.sqrt(math.comb(39, k)) * c ** (39 - k) * s**k
+        assert evolved.amplitude((39 - k, k)) == pytest.approx(expected, abs=1e-12)
+    with pytest.raises(ValueError, match="at most 39"):
+        apply(splitter, PureState.basis_state((40, 0)))
+    with pytest.raises(ValueError, match="at most 39"):
+        apply(u, PureState.basis_state((20, 10, 10)))
 
 
 @settings(max_examples=25, deadline=None)

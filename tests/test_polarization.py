@@ -150,6 +150,16 @@ def test_phase_shift_targets_one_rail():
         phase_shift(state, 0, 0.5)
 
 
+def test_phase_shift_judges_the_quantity_the_plate_unitary_checks():
+    # |phase|^2 - 1, not |phase| - 1, is what the plate's ModeUnitary measures.
+    state = PolarizedPhotonState.single_photon(1, {0: (0.6, 0.8)})
+    for bad in (1 + 8e-13, 1e200):
+        with pytest.raises(ValueError, match="phase factor"):
+            phase_shift(state, 0, bad)
+    shifted = phase_shift(state, 0, 1 + 4e-13)
+    assert shifted.mode_amplitudes(0) == pytest.approx((0.6, 0.8), abs=1e-12)
+
+
 def test_rotate_polarization_matrix_action():
     theta = 0.4
     h_photon = PolarizedPhotonState.single_photon(1, {0: (1.0, 0.0)})
@@ -234,8 +244,8 @@ def test_polarization_oracle_agrees_with_law():
 
 
 def test_polarization_oracle_refuses_large_n():
-    with pytest.raises(ValueError, match="n <= 4"):
-        run_oracle_polarization(ResourceCoefficients.uniform(5), balanced())
+    with pytest.raises(ValueError, match="n <= 5"):
+        run_oracle_polarization(ResourceCoefficients.uniform(6), balanced())
 
 
 def test_teleported_state_frozen():

@@ -243,8 +243,8 @@ def test_oracle_handles_degenerate_inputs():
 
 
 def test_oracle_refuses_large_n_by_default():
-    rc = ResourceCoefficients.uniform(7)
-    with pytest.raises(ValueError, match="n <= 6"):
+    rc = ResourceCoefficients.uniform(9)
+    with pytest.raises(ValueError, match="n <= 8"):
         run_oracle(rc, balanced())
 
 
