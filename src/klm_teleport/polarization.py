@@ -111,6 +111,8 @@ class PolarizedPhotonState:
 
     def single_photon_amplitude(self, mode: int, polarization: str) -> complex:
         """Amplitude of the lone photon sitting at (mode, polarization)."""
+        if not 0 <= mode < self.spatial_modes:
+            raise ValueError(f"mode {mode} out of range for {self.spatial_modes} rails")
         slots = 2 * self.spatial_modes
         return self.state.amplitude(_unit_occupation(slots, slot_index(mode, polarization)))
 

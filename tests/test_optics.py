@@ -20,6 +20,7 @@ from klm_teleport import (
     embed,
     enumerate_basis,
     fourier_unitary,
+    measure_photon_counts,
     permanent,
     slot_index,
     tensor,
@@ -280,10 +281,14 @@ def test_apply_requires_matching_dimension_and_normalization():
         apply(u, random_state(2, 1, rng))
     with pytest.raises(ValueError):
         apply(u, random_state(3, 1, rng).scaled(0.5))
-    # A NaN amplitude never reaches apply or measure_photon_counts: the
-    # constructor refuses it.
-    with pytest.raises(ValueError, match="not finite"):
-        PureState(2, {(1, 0): math.nan, (0, 1): 1.0})
+    # The constructor refuses a NaN amplitude, so one put in afterwards stands
+    # for a state that skipped the check; its NaN norm must still be refused.
+    nan_norm = PureState(2, {(1, 0): 0.6, (0, 1): 0.8})
+    nan_norm.amplitudes[(1, 0)] = math.nan
+    with pytest.raises(ValueError, match="not normalized"):
+        apply(ModeUnitary(np.eye(2)), nan_norm)
+    with pytest.raises(ValueError, match="not normalized"):
+        measure_photon_counts(nan_norm, [0])
 
 
 def test_apply_handles_39_photons_per_term_and_refuses_40():

@@ -141,6 +141,16 @@ def test_single_rail_devices_refuse_missing_rails(mode):
         rotate_polarization(state, mode, 0.3)
 
 
+@pytest.mark.parametrize("mode", [-1, 1])
+def test_amplitude_accessors_refuse_missing_rails(mode):
+    # With a vacuum term present, a missing rail must not read as any amplitude.
+    state = PolarizedPhotonState(1, PureState(2, {(0, 0): 0.6, (1, 0): 0.8}))
+    with pytest.raises(ValueError, match="out of range"):
+        state.single_photon_amplitude(mode, HORIZONTAL)
+    with pytest.raises(ValueError, match="out of range"):
+        state.mode_amplitudes(mode)
+
+
 def test_phase_shift_targets_one_rail():
     state = PolarizedPhotonState.single_photon(2, {0: (0.6, 0.0), 1: (0.0, 0.8)})
     shifted = phase_shift(state, 1, 1j)
