@@ -273,12 +273,13 @@ def run_oracle_polarization(
 
     The dual rail of the number-encoded input x resource passes the doubled
     Fourier transform F (x) 1 on rails 0..n.  Every measured slot is counted,
-    and :func:`reconcile_outcomes` checks the patterns, grouped by their
-    vertical total m, against the dual rail of the number-encoded branch
-    occupations.  The corrective phase is a formula of the pattern, never read
-    from the simulated amplitudes: logical H enters the H slots on rails
-    {0, m+1..n} and the V slots on rails 1..m, logical V enters on rails m..n
-    and 0..m-1, so in each polarization the two branches are one cyclic shift
+    ``read`` refuses a pattern that does not detect all n+1 photons, and
+    :func:`reconcile_outcomes` checks the patterns, grouped by their vertical
+    total m, against the dual rail of the number-encoded branch occupations.
+    The corrective phase is a formula of the pattern, never read from the
+    simulated amplitudes: logical H enters the H slots on rails {0, m+1..n}
+    and the V slots on rails 1..m, logical V enters on rails m..n and
+    0..m-1, so in each polarization the two branches are one cyclic shift
     apart and the phase is ``fourier_phase`` of the per-rail totals h_l + v_l.
     """
     n = rc.n
@@ -294,7 +295,7 @@ def run_oracle_polarization(
     measured = measure_photon_counts(evolved, range(2 * (n + 1)))
     branches = [tuple(_dual(occ) for occ in number_branches(n, m)) for m in range(n + 2)]
 
-    def read(pattern: Occupation, conditional: PureState, pat_tol: float):
+    def read(pattern: Occupation):
         if sum(pattern) != n + 1:
             raise OracleMismatchError(
                 f"pattern {pattern} detected {sum(pattern)} photons, expected {n + 1}"

@@ -1,9 +1,11 @@
-"""Static check: every import in the package's modules is used.
+"""Static checks: every import in the package's modules is used, and no private code is dead.
 
 Parses each ``src/klm_teleport/*.py`` with ``ast`` (stdlib only) and fails on
 an imported name that the module never reads.  ``__init__.py`` re-exports,
 ``__future__`` imports and imports on a line marked ``# noqa: F401`` are
-exempt.
+exempt.  It also fails on a private (``_name``, not dunder) module-level
+function or class, or a method of a module-level class, that no module of
+the package reads as a name or an attribute.
 """
 
 import ast
@@ -71,3 +73,49 @@ def test_checker_sees_an_unused_import():
     used = _read_names(tree)
     unused = [name for name, _ in _imported_names(tree, source.splitlines()) if name not in used]
     assert unused == ["os"]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of each private module-level function, class and method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        members = node.body if isinstance(node, ast.ClassDef) else ()
+        for definition in (node, *members):
+            name = getattr(definition, "name", "")
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, definition.lineno
+
+
+def _dead_private_code(trees: dict[str, ast.Module]) -> list[str]:
+    read = set()
+    for tree in trees.values():
+        read |= _read_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [
+        f"{module}: {name} (line {line})"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in read
+    ]
+
+
+def test_package_has_no_dead_private_code():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    dead = _dead_private_code(trees)
+    assert not dead, f"private code that no module reads: {', '.join(dead)}"
+
+
+def test_checker_sees_dead_private_code():
+    source = (
+        "def _called(): pass\n"
+        "def _dead(): pass\n"
+        "def __getattr__(name): pass\n"
+        "class _Box:\n"
+        "    def __init__(self): self._used()\n"
+        "    def _used(self): _called()\n"
+        "    def _unused(self): pass\n"
+        "box: '_Box'\n"
+    )
+    dead = _dead_private_code({"m.py": ast.parse(source)})
+    assert dead == ["m.py: _dead (line 2)", "m.py: _unused (line 7)"]

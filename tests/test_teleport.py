@@ -1,5 +1,6 @@
 """Protocol outcome law, resource construction, and the Fock-space oracle."""
 
+import functools
 import json
 import math
 
@@ -20,6 +21,7 @@ from klm_teleport import (
     ResourceCoefficients,
     build_resource_state,
     derive_phase_correction,
+    dual_rail,
     enumerate_basis,
     fourier_unitary,
     load_coefficients,
@@ -31,7 +33,7 @@ from klm_teleport import (
     tensor,
     transition_amplitude,
 )
-from klm_teleport.teleport import fourier_phase, qubit_state
+from klm_teleport.teleport import fourier_phase, number_branches, qubit_state
 
 from helpers import random_coefficients, random_qubit
 
@@ -248,6 +250,26 @@ def test_oracle_refuses_large_n_by_default():
         run_oracle(rc, balanced())
 
 
+#: c_2 = c_3 = 0, so the law forbids m = 3, while m = 1 has both branches.
+GAPPED = ResourceCoefficients.from_weights([0.6, 0.4, 0.0, 0.0])
+
+
+def _first_at(m):
+    """Apply ``change(conditional, m)`` to the first measured pattern at outcome m."""
+
+    def decorate(change):
+        @functools.wraps(change)
+        def corrupt(outcomes, outcome_of, encode):
+            index = next(i for i, o in enumerate(outcomes) if outcome_of(o.pattern) == m)
+            pattern, prob, conditional = outcomes[index]
+            outcomes[index] = MeasurementOutcome(pattern, prob, change(conditional, m))
+
+        return corrupt
+
+    return decorate
+
+
+@_first_at(1)
 def _swap_branches(conditional, m):
     amps = dict(conditional.amplitudes)
     weaker, stronger = sorted(amps, key=lambda occ: abs(amps[occ]))[-2:]
@@ -255,6 +277,7 @@ def _swap_branches(conditional, m):
     return PureState(conditional.mode_count, amps)
 
 
+@_first_at(1)
 def _rotate_logical_one(conditional, m):
     # The number encoding leaves the qubit on unmeasured mode m - 1.
     return PureState(
@@ -263,6 +286,7 @@ def _rotate_logical_one(conditional, m):
     )
 
 
+@_first_at(1)
 def _rotate_logical_v(conditional, m):
     # The polarization encoding leaves the qubit on back rail m - 1; logical
     # one is its vertical slot.
@@ -272,11 +296,46 @@ def _rotate_logical_v(conditional, m):
     )
 
 
-#: module whose measurement is corrupted, its oracle, and how it reads m from a pattern
+def _leaked(conditional, size):
+    # Two photons in the first unmeasured mode: no branch occupation of
+    # either encoding holds more than one photon per mode.
+    outside = (2,) + (0,) * (conditional.mode_count - 1)
+    return PureState(conditional.mode_count, {**conditional.amplitudes, outside: size})
+
+
+@_first_at(1)
+def _leak_1e6_on_a_success(conditional, m):
+    return _leaked(conditional, 1e-6)
+
+
+@_first_at(0)
+def _leak_1e9_on_a_failure(conditional, m):
+    return _leaked(conditional, 1e-9)
+
+
+def _add_a_forbidden_pattern(outcomes, outcome_of, encode):
+    # A pattern at m = 3 whose conditional state sits on that outcome's
+    # branch occupations, so only the law can refuse it.
+    n = GAPPED.n
+    pattern = next(iter(encode(PureState.basis_state((1, 1, 1, 0))).amplitudes))
+    branch0, branch1 = number_branches(n, 3)
+    conditional = encode(PureState(n, {branch0: 0.6, branch1: 0.8}))
+    outcomes.append(MeasurementOutcome(pattern, 1e-3, conditional))
+
+
+#: module whose measurement is corrupted, its oracle, how it reads m from a
+#: pattern, and how it encodes a number-encoded state
 ENCODINGS = {
-    "number": (teleport_module, run_oracle, sum),
-    "polarization": (polarization_module, run_oracle_polarization, lambda p: sum(p[1::2])),
+    "number": (teleport_module, run_oracle, sum, lambda state: state),
+    "polarization": (
+        polarization_module,
+        run_oracle_polarization,
+        lambda p: sum(p[1::2]),
+        dual_rail,
+    ),
 }
+
+LEAK = "outside its branch occupations"
 
 
 @pytest.mark.parametrize(
@@ -288,26 +347,30 @@ ENCODINGS = {
         ("polarization", _swap_branches, "magnitudes"),
         ("number", _rotate_logical_one, "corrected fidelity"),
         ("polarization", _rotate_logical_v, "corrected fidelity"),
+        ("number", _leak_1e6_on_a_success, LEAK),
+        ("polarization", _leak_1e6_on_a_success, LEAK),
+        ("number", _leak_1e9_on_a_failure, LEAK),
+        ("polarization", _leak_1e9_on_a_failure, LEAK),
+        ("number", _add_a_forbidden_pattern, "the law forbids"),
+        ("polarization", _add_a_forbidden_pattern, "the law forbids"),
     ],
 )
 def test_oracles_catch_a_corrupted_pattern(monkeypatch, encoding, corrupt, message):
-    """Drop one m = 1 pattern (corrupt is None) or alter its conditional state."""
-    module, oracle, outcome_of = ENCODINGS[encoding]
+    """Drop one m = 1 pattern (corrupt is None) or let ``corrupt`` edit the outcomes."""
+    module, oracle, outcome_of, encode = ENCODINGS[encoding]
     measure = module.measure_photon_counts
 
     def corrupted(state, modes):
         outcomes = measure(state, modes)
-        index = next(i for i, o in enumerate(outcomes) if outcome_of(o.pattern) == 1)
         if corrupt is None:
-            del outcomes[index]
+            del outcomes[next(i for i, o in enumerate(outcomes) if outcome_of(o.pattern) == 1)]
         else:
-            pattern, prob, conditional = outcomes[index]
-            outcomes[index] = MeasurementOutcome(pattern, prob, corrupt(conditional, 1))
+            corrupt(outcomes, outcome_of, encode)
         return outcomes
 
     monkeypatch.setattr(module, "measure_photon_counts", corrupted)
     with pytest.raises(OracleMismatchError, match=message):
-        oracle(WORKED, QubitAmplitudes(0.6, 0.8))
+        oracle(GAPPED, QubitAmplitudes(0.6, 0.8))
 
 
 def test_coefficient_file_roundtrip(tmp_path):
