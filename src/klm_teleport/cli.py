@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -484,13 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=150_000,
-        help="objective evaluation budget of the success search",
+        help="objective evaluation budget of the success optimum's Nelder-Mead check",
     )
     p_opt.add_argument(
         "--restarts",
         type=int,
         default=32,
-        help="random restarts of the success search",
+        help="seeded restarts of the success optimum's Nelder-Mead check",
     )
     p_opt.add_argument(
         "--samples",
@@ -521,9 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing never mutates it.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_out(args.out)
         _emit(args.run(args), args.out)

@@ -8,15 +8,15 @@ Two figures of merit, both functions of the weights w_i = |c_i|^2 alone:
   qubits without any correction step, whose closed form is derived here and
   cross-checked by Monte Carlo sampling of the outcome law.
 
-The average fidelity is maximized exactly: with x_m = sqrt(w_m) it is a
-quadratic form on the unit sphere, so the optimum is the top eigenvector of a
-symmetric tridiagonal matrix.  The success probability is searched by
-Nelder-Mead in softmax coordinates from many seeded starts (plus an
-exhaustive coarse simplex grid for small n), then the incumbent is polished.
-It is concave over the simplex, so multistart local search is globally
-reliable; an independent extrema certificate bounds it from above to witness
-optimality.  That search is the package's only use of scipy, which is
-imported on its first Nelder-Mead stage rather than with the package.
+Both optima are exact.  The average fidelity is a quadratic form on the unit
+sphere in x_m = sqrt(w_m), so its optimum is the top eigenvector of a
+symmetric tridiagonal matrix.  The success optimum is the uniform point,
+proved by an explicit dual certificate (:func:`success_dual_certificate`)
+that is recomputed in exact rational arithmetic on every call.  Seeded
+Nelder-Mead restarts in softmax coordinates still search the success
+objective, only as an independent route that must not beat the certified
+bound.  That search is the package's only use of scipy, which is imported on
+its first Nelder-Mead stage rather than with the package.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .correction import adjacent_minima_sum, classify_sequence
-from .fock import QubitAmplitudes, enumerate_basis
+from .fock import QubitAmplitudes
 from .teleport import (
     MAXIMIZE_LIMIT,
     OracleMismatchError,
@@ -37,10 +37,11 @@ from .teleport import (
     run_analytic,
 )
 
-#: Simplex grid spacing 1/GRID_RESOLUTION used to floor the search for small n.
-GRID_RESOLUTION = 20
-#: Largest n whose simplex grid is enumerated exhaustively.
-GRID_LIMIT = 3
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+#: Slack by which the Nelder-Mead check may exceed the certified success bound.
+SEARCH_TOL = 1e-12
 #: Probability that the Monte-Carlo cross-check rejects a correct closed form.
 MC_FALSE_ALARM = 1e-9
 #: Monte-Carlo samples per block; the block size fixes the summation order, so the
@@ -341,9 +342,34 @@ class OptimizationReport:
         }
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = np.exp(x - x.max())
-    return shifted / shifted.sum()
+def success_dual_certificate(n: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Dual multipliers lambda_m of the success bound and each weight's coefficient.
+
+    For lambda in [0, 1], min(a, b) <= lambda*a + (1 - lambda)*b.  With
+    lambda_m = (n+1-m)/(n+1) for m = 1..n, weight w_i collects
+    lambda_{i+1} + (1 - lambda_i) = n/(n+1) (a missing boundary term counts
+    zero), so sum_m min(w_{m-1}, w_m) <= n/(n+1) on the whole simplex.  Each
+    lambda_m lies strictly inside (0, 1), so equality forces every adjacent
+    pair equal: the uniform point is the unique maximizer.  The coefficients
+    are recomputed in exact rational arithmetic, and ``RuntimeError`` is
+    raised unless every one is exactly n/(n+1).
+    """
+    # Imported here so that only the success answer loads fractions/decimal.
+    from fractions import Fraction
+
+    if n < 1:
+        raise ValueError(f"resource size must be at least 1, got {n}")
+    bound = Fraction(n, n + 1)
+    multipliers = [Fraction(n + 1 - m, n + 1) for m in range(1, n + 1)]
+    coefficients = [Fraction(0)] * (n + 1)
+    for m, lam in enumerate(multipliers, start=1):
+        coefficients[m - 1] += lam
+        coefficients[m] += 1 - lam
+    if not all(0 < lam < 1 for lam in multipliers) or any(
+        c != bound for c in coefficients
+    ):
+        raise RuntimeError(f"the success dual certificate does not close at n={n}")
+    return multipliers, coefficients
 
 
 def minimize(fun, x0, **kwargs):
@@ -356,6 +382,51 @@ def minimize(fun, x0, **kwargs):
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, **kwargs)
+
+
+def _search_success(
+    n: int, budget: int, seed: int, restarts: int
+) -> tuple[float, int, bool]:
+    """Best success value found by seeded Nelder-Mead restarts.
+
+    Each restart is one Nelder-Mead stage in softmax coordinates from a
+    standard-normal start, drawn when the stage begins, so memory does not
+    grow with ``restarts``.  Returns the largest value any stage reached, the
+    objective evaluations spent, and whether ``budget`` cut the search short.
+    """
+    rng = np.random.default_rng(seed)
+    dim = n + 1
+    per_restart = 2_000 * dim
+    evaluations = 0
+    best = -math.inf
+
+    def negated(x: np.ndarray) -> float:
+        # adjacent_minima_sum without its re-validation: softmax weights are
+        # finite and nonnegative by construction.
+        nonlocal evaluations
+        evaluations += 1
+        e = np.exp(x - x.max())
+        w = (e / e.sum()).tolist()
+        return -math.fsum(map(min, w, w[1:]))
+
+    for _ in range(restarts):
+        cap = min(per_restart, budget - evaluations)
+        if cap <= dim + 1:
+            return best, evaluations, True
+        result = minimize(
+            negated,
+            rng.standard_normal(dim),
+            method="Nelder-Mead",
+            options={
+                "xatol": 1e-10,
+                "fatol": 1e-13,
+                "maxfev": cap,
+                "maxiter": cap,
+                "adaptive": True,
+            },
+        )
+        best = max(best, -float(result.fun))
+    return best, evaluations, evaluations >= budget
 
 
 _OBJECTIVES = ("success", "avg_fidelity")
@@ -374,13 +445,17 @@ def maximize(
     """Maximize an objective over the weight simplex for a size-n resource.
 
     Deterministic for a fixed seed.  ``avg_fidelity`` is solved exactly (see
-    :func:`_maximize_avg_fidelity`).  For ``success``, ``budget`` caps total
-    objective evaluations across the grid sweep, the seeded restarts, and the
-    polish rounds; exhausting it sets ``budget_exhausted`` and returns the
-    incumbent.  Raises ``ValueError`` before any work for invalid arguments,
-    including n above MAXIMIZE_LIMIT and a success budget of at most n + 2
-    when n > GRID_LIMIT, which leaves no grid and no Nelder-Mead stage to
-    produce a candidate.
+    :func:`_maximize_avg_fidelity`).  ``success`` returns the uniform point,
+    whose optimality :func:`success_dual_certificate` proves; the
+    certificate lists the dual multipliers and the per-weight coefficients
+    as exact fractions.  ``restarts`` seeded Nelder-Mead stages then search
+    the same objective independently, sharing ``budget`` objective
+    evaluations; ``budget_exhausted`` reports that the budget cut them
+    short.  If any stage beats n/(n+1) by more than SEARCH_TOL the two
+    routes disagree and ``OracleMismatchError`` is raised.  Raises
+    ``ValueError`` before any work for invalid arguments, including n above
+    MAXIMIZE_LIMIT and a success budget of at most n + 2, which leaves no
+    Nelder-Mead stage to run.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
@@ -396,110 +471,37 @@ def maximize(
         raise ValueError(f"need at least two Monte Carlo samples, got {mc_samples}")
     if objective == "avg_fidelity":
         return _maximize_avg_fidelity(n, seed, convention, mc_samples)
-    if n > GRID_LIMIT and budget <= n + 2:
+    if budget <= n + 2:
         raise ValueError(
             f"budget {budget} leaves no Nelder-Mead stage for n={n} "
             f"(needs more than n + 2 = {n + 2} evaluations)"
         )
 
-    evaluations = 0
-    budget_exhausted = False
-    best_weights: tuple[float, ...] | None = None
-    best_value = -math.inf
-
-    def consider(weights: tuple[float, ...], value: float) -> None:
-        nonlocal best_weights, best_value
-        if value > best_value + 1e-12:
-            best_weights, best_value = weights, value
-        elif value >= best_value - 1e-12 and (
-            best_weights is None or weights < best_weights
-        ):
-            best_weights, best_value = weights, value
-
-    used_grid = False
-    if n <= GRID_LIMIT:
-        used_grid = True
-        for cell in enumerate_basis(n + 1, GRID_RESOLUTION):
-            weights = tuple(c / GRID_RESOLUTION for c in cell)
-            evaluations += 1
-            consider(weights, adjacent_minima_sum(weights))
-            if evaluations >= budget:
-                budget_exhausted = True
-                break
-
-    rng = np.random.default_rng(seed)
-    dim = n + 1
-    per_restart = 2_000 * dim
-
-    def negated(x: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return -adjacent_minima_sum(_softmax(x).tolist())
-
-    def run_stage(x0: np.ndarray) -> None:
-        nonlocal evaluations, budget_exhausted
-        cap = min(per_restart, budget - evaluations)
-        if cap <= dim + 1:
-            budget_exhausted = True
-            return
-        result = minimize(
-            negated,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-10,
-                "fatol": 1e-13,
-                "maxfev": cap,
-                "maxiter": cap,
-                "adaptive": True,
-            },
-        )
-        weights = tuple(float(w) for w in _softmax(result.x))
-        evaluations += 1
-        consider(weights, adjacent_minima_sum(weights))
-
-    starts = [rng.standard_normal(dim) for _ in range(restarts)]
-    for x0 in starts:
-        if evaluations >= budget:
-            budget_exhausted = True
-            break
-        run_stage(x0)
-
-    polish_rounds = 3
-    for _ in range(polish_rounds):
-        if best_weights is None or evaluations >= budget:
-            budget_exhausted = budget_exhausted or evaluations >= budget
-            break
-        anchor = np.log(np.asarray(best_weights) + 1e-12)
-        run_stage(anchor)
-
-    if best_weights is None:
-        raise RuntimeError("optimization produced no candidate within the budget")
-
-    best_point = SimplexPoint.from_unnormalized(best_weights)
-    best_value = adjacent_minima_sum(best_point.weights)
-    evaluations += 1
-
+    multipliers, coefficients = success_dual_certificate(n)
     uniform = SimplexPoint.uniform(n)
-    certificate = certify_klm_bound(best_point).as_dict()
-    certificate["uniform_value"] = objective_success(uniform)
-    certificate["value_minus_uniform"] = best_value - certificate["uniform_value"]
-    certificate["distance_to_uniform_linf"] = max(
-        abs(w - u) for w, u in zip(best_point.weights, uniform.weights)
+    bound = n / (n + 1)
+    search_best, evaluations, budget_exhausted = _search_success(
+        n, budget, seed, restarts
     )
-    method = "nelder-mead-softmax-multistart"
-    if used_grid:
-        method += "+grid"
-
+    if not search_best <= bound + SEARCH_TOL:
+        raise OracleMismatchError(
+            f"Nelder-Mead reached success probability {search_best!r} at n={n}, "
+            f"above the certified optimum n/(n+1) = {bound!r}"
+        )
     return OptimizationReport(
         objective=objective,
-        best_point=best_point,
-        best_value=best_value,
-        method=method,
+        best_point=uniform,
+        best_value=adjacent_minima_sum(uniform.weights),
+        method="dual-certificate",
         evaluations=evaluations,
         restarts=restarts,
         budget_exhausted=budget_exhausted,
-        certificate=certificate,
+        certificate={
+            "dual_multipliers": [str(lam) for lam in multipliers],
+            "dual_coefficients": [str(c) for c in coefficients],
+            "search_best_value": search_best,
+            "search_gap": bound - search_best,
+        },
     )
 
 

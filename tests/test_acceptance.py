@@ -116,12 +116,13 @@ def test_extrema_closed_form():
 
 
 def test_uniform_optimality():
-    # The optimizer lands on uniform weights with value n/(n+1), and random
-    # simplex points never beat that bound.
+    # maximize answers the uniform weights with value n/(n+1), its Nelder-Mead
+    # check never beats that value, and random simplex points never beat it.
     with criterion("uniform-optimality", 30.0) as info:
         rng = np.random.default_rng(107)
         worst_value_gap = 0.0
         worst_linf = 0.0
+        worst_search_gap = math.inf
         for n in range(2, 7):
             report = maximize("success", n, seed=0)
             bound = n / (n + 1)
@@ -131,13 +132,18 @@ def test_uniform_optimality():
                 worst_linf,
                 max(abs(w - uniform) for w in report.best_point.weights),
             )
-            assert abs(report.best_value - bound) < 1e-6
-            assert all(abs(w - uniform) < 1e-3 for w in report.best_point.weights)
+            search_gap = report.certificate["search_gap"]
+            worst_search_gap = min(worst_search_gap, search_gap)
+            assert report.best_point.weights == SimplexPoint.uniform(n).weights
+            assert abs(report.best_value - bound) < 1e-15
+            assert all(abs(w - uniform) < 1e-15 for w in report.best_point.weights)
+            assert search_gap >= -1e-12
             for _ in range(10_000):
                 weights = tuple(rng.dirichlet(np.ones(n + 1)))
                 assert adjacent_minima_sum(weights) <= bound + 1e-12
         info["detail"] = (
             f"value gap {worst_value_gap:.2e}, L-inf {worst_linf:.2e}, "
+            f"smallest search gap {worst_search_gap:.2e}, "
             "5x10^4 random points below bound"
         )
 

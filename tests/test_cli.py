@@ -248,6 +248,7 @@ def test_module_entry_point_runs():
         ["teleport", "--coeffs", "inline:1e200,1e200", "--renormalize"],
         ["teleport", "--coeffs", "inline:1e308,1e308", "--squared", "--renormalize"],
         ["optimize", "--objective", "success", "--n", "4", "--budget", "5"],
+        ["optimize", "--objective", "success", "--n", "2", "--budget", "4"],
         ["optimize", "--objective", "success", "--n", "4", "--seed", "-1"],
         ["teleport", "--n", "1", "--qubit", "random:-1"],
         ["teleport", "--n", "1", "--out", "/no/such/dir/out.json"],
@@ -402,6 +403,23 @@ def test_oracle_mismatch_exits_three(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3
     assert "disagreement" in captured.err
+
+
+def test_search_beating_the_success_optimum_exits_three(capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    import klm_teleport.optimize as optimize_module
+
+    def too_good(fun, x0, **kwargs):
+        return SimpleNamespace(fun=-(4 / 5 + 1e-9), x=x0)
+
+    monkeypatch.setattr(optimize_module, "minimize", too_good)
+    code = main(["optimize", "--objective", "success", "--n", "4", "--restarts", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "certified optimum" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_failed_internal_check_exits_three(capsys, monkeypatch):

@@ -40,6 +40,9 @@ COMMANDS = {
     ],
     "psuccess": ["psuccess", "--coeffs", "inline:0.1,0.3,0.05,0.35,0.2", "--squared"],
     "optimize-avgfid-n4": ["optimize", "--objective", "avgfid", "--n", "4", "--seed", "0"],
+    "optimize-success-n4": [
+        "optimize", "--objective", "success", "--n", "4", "--restarts", "4", "--seed", "0",
+    ],
 }
 
 

@@ -1,6 +1,9 @@
-"""Simplex search, closed-form averaged fidelities, and the bound certificate."""
+"""Exact optima and their search check, closed-form averaged fidelities, bound certificates."""
 
 import math
+import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from klm_teleport import (
     optimal_avg_fidelity,
     optimal_fidelity_profile,
 )
-from klm_teleport.optimize import _sample_fidelities
+from klm_teleport.optimize import _sample_fidelities, success_dual_certificate
 from klm_teleport.teleport import MAXIMIZE_LIMIT
 
 from helpers import random_qubit, random_strict_weights
@@ -177,11 +180,58 @@ def test_random_points_never_beat_the_optimum():
 
 def test_maximize_success_hits_uniform():
     report = maximize("success", 2, budget=30_000, seed=0, restarts=8)
-    assert report.best_value == pytest.approx(2 / 3, abs=1e-9)
-    np.testing.assert_allclose(report.best_point.weights, [1 / 3] * 3, atol=1e-6)
+    assert report.best_point.weights == SimplexPoint.uniform(2).weights
+    assert report.best_value == adjacent_minima_sum(SimplexPoint.uniform(2).weights)
+    assert report.best_value == pytest.approx(2 / 3, abs=1e-15)
     assert report.objective == "success"
+    assert report.method == "dual-certificate"
     assert not report.budget_exhausted
     assert report.evaluations <= 30_000
+    assert report.certificate["search_gap"] >= -1e-12
+
+
+def test_success_dual_certificate_is_exact():
+    for n in [*range(1, 41), MAXIMIZE_LIMIT]:
+        multipliers, coefficients = success_dual_certificate(n)
+        assert multipliers == [Fraction(n + 1 - m, n + 1) for m in range(1, n + 1)]
+        assert all(0 < lam < 1 for lam in multipliers)
+        assert coefficients == [Fraction(n, n + 1)] * (n + 1)
+    report = maximize("success", 3, restarts=1)
+    assert report.certificate["dual_multipliers"] == ["3/4", "1/2", "1/4"]
+    assert report.certificate["dual_coefficients"] == ["3/4"] * 4
+
+
+def test_search_beating_the_certified_optimum_is_a_mismatch(monkeypatch):
+    import klm_teleport.optimize as optimize_module
+
+    n = 4
+
+    def too_good(fun, x0, **kwargs):
+        return SimpleNamespace(fun=-(n / (n + 1) + 1e-9), x=x0)
+
+    monkeypatch.setattr(optimize_module, "minimize", too_good)
+    with pytest.raises(OracleMismatchError, match="above the certified optimum"):
+        maximize("success", n, restarts=2)
+
+
+def test_success_search_replays_the_random_stages():
+    # The four random Nelder-Mead stages of seed 0 spend 2149 + 1740 + 1620
+    # + 1338 evaluations; any change to the objective's bits moves this sum.
+    report = maximize("success", 4, seed=0, restarts=4)
+    assert report.evaluations == 6_847
+    assert not report.budget_exhausted
+
+
+def test_restart_starts_are_drawn_lazily():
+    maximize("success", 4, budget=20, restarts=1)  # loads scipy outside the trace
+    tracemalloc.start()
+    try:
+        report = maximize("success", 4, budget=20, restarts=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.budget_exhausted
+    assert peak < 2**20
 
 
 def test_maximize_is_seed_deterministic():
@@ -199,7 +249,6 @@ def test_maximize_avg_fidelity_reaches_the_analytic_optimum(monkeypatch):
         raise AssertionError("the exact solve must not search")
 
     monkeypatch.setattr(optimize_module, "minimize", no_search)
-    monkeypatch.setattr(optimize_module, "enumerate_basis", no_search)
     report = maximize("avg_fidelity", 2, seed=0, mc_samples=100_000)
     assert report.best_value == pytest.approx(optimal_avg_fidelity(2), abs=1e-15)
     assert report.certificate["analytic_optimum"] == pytest.approx(optimal_avg_fidelity(2))
@@ -235,8 +284,9 @@ def test_maximize_rejects_bad_arguments():
         maximize("success", 4, restarts=0)
     with pytest.raises(ValueError, match="samples"):
         maximize("avg_fidelity", 2, mc_samples=1)
-    with pytest.raises(ValueError, match="budget 6"):
-        maximize("success", 4, budget=6)
+    for n, budget in ((4, 6), (1, 3), (2, 4), (3, 5)):
+        with pytest.raises(ValueError, match=f"budget {budget} "):
+            maximize("success", n, budget=budget)
     for objective in ("success", "avg_fidelity"):
         with pytest.raises(ValueError, match="at most"):
             maximize(objective, MAXIMIZE_LIMIT + 1)
