@@ -349,7 +349,6 @@ def cmd_optimize(args: argparse.Namespace) -> str:
         report = maximize(
             _OBJECTIVE_NAMES[args.objective],
             args.n,
-            budget=args.budget,
             seed=args.seed,
             restarts=args.restarts,
             convention=convention,
@@ -480,12 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(_OBJECTIVE_NAMES),
         default="success",
         help="figure of merit (default success)",
-    )
-    p_opt.add_argument(
-        "--budget",
-        type=int,
-        default=150_000,
-        help="objective evaluation budget of the success optimum's Nelder-Mead check",
     )
     p_opt.add_argument(
         "--restarts",

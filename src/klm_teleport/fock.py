@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
@@ -25,6 +26,8 @@ PRUNE_EPS = 1e-15
 OUTCOME_EPS = 1e-15
 #: Tolerance for normalization invariants.
 NORM_TOL = 1e-12
+#: Deviation from unit norm that ``PureState.require_normalized`` accepts.
+STATE_NORM_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -144,9 +147,9 @@ class PureState:
             self.mode_count, {occ: a for occ, a in self.amplitudes.items() if not abs(a) <= eps}
         )
 
-    def require_normalized(self, tol: float = 1e-9) -> None:
+    def require_normalized(self) -> None:
         dev = abs(self.norm() - 1.0)
-        if not dev <= tol:
+        if not dev <= STATE_NORM_TOL:
             raise ValueError(f"state is not normalized (|norm - 1| = {dev:.3e})")
 
     def inner(self, other: "PureState") -> complex:
@@ -245,17 +248,18 @@ class QubitAmplitudes:
 
     @classmethod
     def from_unnormalized(cls, alpha: complex, beta: complex) -> "QubitAmplitudes":
-        """Divide by sqrt(|alpha|^2 + |beta|^2); a norm outside float range raises."""
+        """Divide by the norm; raises unless |alpha|^2 + |beta|^2 is a normal float."""
         try:
-            nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+            square = abs(alpha) ** 2 + abs(beta) ** 2
         except OverflowError:
-            nrm = math.inf
-        if math.isinf(nrm):
+            square = math.inf
+        if math.isinf(square):
             raise ValueError("qubit norm overflows a float")
-        if nrm == 0.0:
+        if square < sys.float_info.min:
             if alpha or beta:
                 raise ValueError("qubit norm underflows a float")
             raise ValueError("zero vector cannot define a qubit")
+        nrm = math.sqrt(square)
         return cls(alpha / nrm, beta / nrm)
 
     @classmethod

@@ -42,6 +42,9 @@ if TYPE_CHECKING:
 
 #: Slack by which the Nelder-Mead check may exceed the certified success bound.
 SEARCH_TOL = 1e-12
+#: Objective evaluations the Nelder-Mead check may spend over all its restarts.
+#: Far above n + 2 for every n up to MAXIMIZE_LIMIT, so the first stage always runs.
+SEARCH_BUDGET = 150_000
 #: Probability that the Monte-Carlo cross-check rejects a correct closed form.
 MC_FALSE_ALARM = 1e-9
 #: Monte-Carlo samples per block; the block size fixes the summation order, so the
@@ -384,15 +387,14 @@ def minimize(fun, x0, **kwargs):
     return scipy_minimize(fun, x0, **kwargs)
 
 
-def _search_success(
-    n: int, budget: int, seed: int, restarts: int
-) -> tuple[float, int, bool]:
+def _search_success(n: int, seed: int, restarts: int) -> tuple[float, int, bool]:
     """Best success value found by seeded Nelder-Mead restarts.
 
     Each restart is one Nelder-Mead stage in softmax coordinates from a
     standard-normal start, drawn when the stage begins, so memory does not
     grow with ``restarts``.  Returns the largest value any stage reached, the
-    objective evaluations spent, and whether ``budget`` cut the search short.
+    objective evaluations spent, and whether SEARCH_BUDGET cut the search
+    short.
     """
     rng = np.random.default_rng(seed)
     dim = n + 1
@@ -410,7 +412,7 @@ def _search_success(
         return -math.fsum(map(min, w, w[1:]))
 
     for _ in range(restarts):
-        cap = min(per_restart, budget - evaluations)
+        cap = min(per_restart, SEARCH_BUDGET - evaluations)
         if cap <= dim + 1:
             return best, evaluations, True
         result = minimize(
@@ -426,7 +428,7 @@ def _search_success(
             },
         )
         best = max(best, -float(result.fun))
-    return best, evaluations, evaluations >= budget
+    return best, evaluations, evaluations >= SEARCH_BUDGET
 
 
 _OBJECTIVES = ("success", "avg_fidelity")
@@ -436,7 +438,6 @@ def maximize(
     objective: str,
     n: int,
     *,
-    budget: int = 150_000,
     seed: int = 0,
     restarts: int = 32,
     convention: FailureConvention = FailureConvention.COLLAPSE,
@@ -449,13 +450,12 @@ def maximize(
     whose optimality :func:`success_dual_certificate` proves; the
     certificate lists the dual multipliers and the per-weight coefficients
     as exact fractions.  ``restarts`` seeded Nelder-Mead stages then search
-    the same objective independently, sharing ``budget`` objective
+    the same objective independently, sharing SEARCH_BUDGET objective
     evaluations; ``budget_exhausted`` reports that the budget cut them
     short.  If any stage beats n/(n+1) by more than SEARCH_TOL the two
     routes disagree and ``OracleMismatchError`` is raised.  Raises
     ``ValueError`` before any work for invalid arguments, including n above
-    MAXIMIZE_LIMIT and a success budget of at most n + 2, which leaves no
-    Nelder-Mead stage to run.
+    MAXIMIZE_LIMIT.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
@@ -463,26 +463,17 @@ def maximize(
         raise ValueError(f"resource size must be at least 1, got {n}")
     if n > MAXIMIZE_LIMIT:
         raise ValueError(f"resource size must be at most {MAXIMIZE_LIMIT}, got {n}")
-    if budget < 1:
-        raise ValueError("evaluation budget must be positive")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if mc_samples < 2:
         raise ValueError(f"need at least two Monte Carlo samples, got {mc_samples}")
     if objective == "avg_fidelity":
         return _maximize_avg_fidelity(n, seed, convention, mc_samples)
-    if budget <= n + 2:
-        raise ValueError(
-            f"budget {budget} leaves no Nelder-Mead stage for n={n} "
-            f"(needs more than n + 2 = {n + 2} evaluations)"
-        )
 
     multipliers, coefficients = success_dual_certificate(n)
     uniform = SimplexPoint.uniform(n)
     bound = n / (n + 1)
-    search_best, evaluations, budget_exhausted = _search_success(
-        n, budget, seed, restarts
-    )
+    search_best, evaluations, budget_exhausted = _search_success(n, seed, restarts)
     if not search_best <= bound + SEARCH_TOL:
         raise OracleMismatchError(
             f"Nelder-Mead reached success probability {search_best!r} at n={n}, "

@@ -49,7 +49,7 @@ from .teleport import (
 HORIZONTAL = "H"
 VERTICAL = "V"
 
-#: Largest n for which the polarization oracle runs by default.
+#: Largest n for which the polarization oracle runs.
 POLARIZATION_ORACLE_LIMIT = 5
 
 
@@ -264,10 +264,7 @@ def build_polarized_resource(rc: ResourceCoefficients) -> PolarizedPhotonState:
 
 
 def run_oracle_polarization(
-    rc: ResourceCoefficients,
-    qubit: QubitAmplitudes,
-    *,
-    limit: int = POLARIZATION_ORACLE_LIMIT,
+    rc: ResourceCoefficients, qubit: QubitAmplitudes
 ) -> list[TeleportOutcome]:
     """Exact slot-space simulation of the polarization protocol.
 
@@ -283,10 +280,10 @@ def run_oracle_polarization(
     apart and the phase is ``fourier_phase`` of the per-rail totals h_l + v_l.
     """
     n = rc.n
-    if n > limit:
+    if n > POLARIZATION_ORACLE_LIMIT:
         raise ValueError(
-            f"polarization oracle limited to n <= {limit} (requested n={n}); "
-            "raise the limit explicitly to go bigger"
+            f"polarization oracle limited to n <= {POLARIZATION_ORACLE_LIMIT} "
+            f"(requested n={n})"
         )
     state = dual_rail(tensor(qubit_state(qubit), build_resource_state(rc)))
     doubled = ModeUnitary(np.kron(fourier_unitary(n + 1).matrix, np.eye(2)))

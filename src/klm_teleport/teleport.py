@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -48,7 +49,9 @@ from .optics import transition_amplitude  # noqa: F401
 ORACLE_LIMIT = 8
 #: Largest n that ``optimize.maximize`` accepts.  Its dense (n+1)x(n+1)
 #: eigenproblem and (n+2)x(n+1) Nelder-Mead simplex take ~8 MB each here, so
-#: a larger n is refused up front instead of failing to allocate.
+#: a larger n is refused up front instead of failing to allocate.  It bounds
+#: memory, not time: the success check took ~9 s at n = 50, ~23-29 s at n = 200
+#: and over 300 s at n = 1000 (2-core machine).
 MAXIMIZE_LIMIT = 1_000
 #: Agreement tolerance between the oracle and the analytic outcome law.
 ORACLE_TOL = 1e-10
@@ -171,7 +174,9 @@ def run_analytic(rc: ResourceCoefficients, qubit: QubitAmplitudes) -> list[Telep
         success_class = 1 <= m <= n
         conditional = None
         if success_class and prob > 0.0:
-            scale = 1.0 / math.sqrt(prob)
+            # A subnormal prob has lost bits; then take the norm without squaring.
+            tiny = prob < sys.float_info.min
+            scale = 1.0 / (math.hypot(abs(front), abs(back)) if tiny else math.sqrt(prob))
             conditional = QubitAmplitudes(front * scale, back * scale)
         outcomes.append(
             TeleportOutcome(
@@ -445,17 +450,18 @@ def normalize_coefficients(
 
     Deviations from unit norm up to ``COEFF_NORM_TOL`` are corrected silently
     (the exact normalization the type requires); larger deviations are
-    rejected unless ``renormalize`` is set.  A zero vector and a norm that
-    overflows or underflows a float are rejected with ``ValueError``.
+    rejected unless ``renormalize`` is set.  A zero vector and a squared norm
+    that overflows or falls below a normal float raise ``ValueError``.
     """
     try:
-        nrm = math.sqrt(math.fsum(abs(v) ** 2 for v in values))
+        square = math.fsum(abs(v) ** 2 for v in values)
     except OverflowError:
         raise ValueError("coefficient norm overflows a float") from None
-    if nrm == 0.0:
+    if square < sys.float_info.min:
         if any(values):
             raise ValueError("coefficient norm underflows a float")
         raise ValueError("coefficients cannot all be zero")
+    nrm = math.sqrt(square)
     if abs(nrm - 1.0) > COEFF_NORM_TOL and not renormalize:
         raise ValueError(
             f"coefficients deviate from unit norm by {abs(nrm - 1.0):.3e}; "

@@ -115,8 +115,6 @@ def test_optimize_success_n4(capsys):
         "success",
         "--n",
         "4",
-        "--budget",
-        "30000",
         "--restarts",
         "6",
     )
@@ -142,8 +140,6 @@ def test_optimize_avgfid_beats_uniform(capsys):
         "avgfid",
         "--n",
         "2",
-        "--budget",
-        "20000",
         "--restarts",
         "4",
         "--samples",
@@ -235,7 +231,6 @@ def test_module_entry_point_runs():
         ["optimize", "--objective", "success", "--n", "2", "--restarts", "0"],
         ["optimize", "--objective", "avgfid", "--n", "2", "--samples", "1"],
         ["optimize", "--objective", "success", "--n", "0"],
-        ["optimize", "--objective", "success", "--n", "2", "--budget", "0"],
         ["sweep", "--n-min", "3", "--n-max", "2"],
         ["sweep", "--n-min", "0", "--n-max", "2"],
         ["sweep", "--n-max", "2", "--samples", "1"],
@@ -247,8 +242,6 @@ def test_module_entry_point_runs():
         ["teleport", "--n", "1", "--qubit", "1e200,0+1e200,0"],
         ["teleport", "--coeffs", "inline:1e200,1e200", "--renormalize"],
         ["teleport", "--coeffs", "inline:1e308,1e308", "--squared", "--renormalize"],
-        ["optimize", "--objective", "success", "--n", "4", "--budget", "5"],
-        ["optimize", "--objective", "success", "--n", "2", "--budget", "4"],
         ["optimize", "--objective", "success", "--n", "4", "--seed", "-1"],
         ["teleport", "--n", "1", "--qubit", "random:-1"],
         ["teleport", "--n", "1", "--out", "/no/such/dir/out.json"],
@@ -259,7 +252,7 @@ def test_module_entry_point_runs():
         # Sizes whose dense matrices could not be allocated; refused before any work.
         ["optimize", "--objective", "avgfid", "--n", "200000", "--samples", "2"],
         ["sweep", "--n-min", "200000", "--n-max", "200000", "--samples", "2"],
-        ["optimize", "--n", "200000", "--budget", "100000000"],
+        ["optimize", "--n", "200000"],
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -312,6 +305,7 @@ assert "scipy.optimize" in sys.modules
         ["psuccess", "--n", "2", "--coeffs", "uniform", "--format", "csv"],
         ["psuccess", "--n", "2", "--seed", "3"],
         ["optimize", "--objective", "success", "--n", "2", "--format", "csv"],
+        ["optimize", "--objective", "success", "--n", "2", "--budget", "300"],
     ],
 )
 def test_removed_flags_are_unrecognized(capsys, argv):
@@ -335,12 +329,12 @@ def test_cli_options_are_the_ones_the_commands_read():
         "teleport": coeffs | {"--qubit", "--oracle", "--oracle-limit", "--format"},
         "psuccess": coeffs,
         "optimize": {
-            "--n", "--objective", "--budget", "--restarts", "--samples", "--convention",
+            "--n", "--objective", "--restarts", "--samples", "--convention",
             "--seed", "--out",
         },
         "sweep": {"--n-min", "--n-max", "--samples", "--seed", "--format", "--out"},
     }
-    assert sum(map(len, options.values())) == 28
+    assert sum(map(len, options.values())) == 27
 
 
 def test_optimize_csv_is_refused_before_the_search(capsys, monkeypatch):
@@ -378,11 +372,30 @@ def test_underflowing_norms_are_named(tmp_path, capsys):
         ["teleport", "--coeffs", "inline:1e-170,1e-170", "--renormalize"],
         ["teleport", "--coeffs", f"file:{path}", "--renormalize"],
         ["teleport", "--n", "1", "--qubit", "1e-170,0+1e-170,0"],
+        # Squared norms that are subnormal rather than zero underflow too.
+        ["teleport", "--coeffs", "inline:1e-160,1e-160", "--renormalize"],
+        ["teleport", "--n", "1", "--qubit", "1e-160,0+1e-160,0"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "underflows a float" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"], ["--format", "csv"]])
+def test_subnormal_outcome_probability_is_reported(capsys, extra):
+    # p(m=1) = 1e-320 is subnormal; its conditional qubit is still normalized.
+    argv = ["teleport", "--n", "2", "--coeffs", "inline:1e-160,1e-160,1", "--renormalize"]
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 0, err
+    if extra == ["--format", "csv"]:
+        assert out.splitlines()[2] == "1,9.9998886718268301e-321,1,9.9998886718268301e-321"
+        return
+    payload = json.loads(out)
+    r = pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    assert payload["outcomes"][1]["conditional"] == [[r, 0.0], [r, 0.0]]
+    if extra:
+        assert payload["oracle"]["max_deviation"] <= 1e-15
 
 
 def test_oracle_limit_refusal_names_the_limit(capsys):
@@ -443,7 +456,7 @@ def test_few_monte_carlo_samples_raise_no_false_alarm(capsys):
 
 
 #: Numeric values every numeric option of the fuzzed grammar may take.
-_HOSTILE = ["nan", "inf", "-1", "0", "1e308"]
+_HOSTILE = ["nan", "inf", "-1", "0", "1e308", "1e-160"]
 
 
 def _numbers(*usual):
@@ -507,8 +520,7 @@ _ARGV = st.one_of(
         st.just(["optimize"]),
         _maybe("--objective", st.sampled_from(["success", "avgfid"])),
         _maybe("--n", _N),
-        st.tuples(st.just("--budget"), _numbers(5, 6, 300)).map(list),
-        _maybe("--restarts", _numbers(2)),
+        st.tuples(st.just("--restarts"), _numbers(1, 2)).map(list),
         st.tuples(st.just("--samples"), _SAMPLES).map(list),
         _maybe("--convention", st.sampled_from(["collapse", "zero_fidelity"])),
         _OUT,
@@ -529,7 +541,7 @@ _ARGV = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(_ARGV)
 def test_exit_codes_are_a_total_contract(argv):
-    # Bounded so every draw runs fast: n <= 4, budget <= 300, samples <= 1000.
+    # Bounded so every draw runs fast: n <= 4, restarts <= 2, samples <= 1000.
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -101,6 +101,8 @@ def test_normalized_and_require_normalized():
         state.require_normalized()
     unit = state.normalized()
     unit.require_normalized()
+    with pytest.raises(TypeError):
+        unit.require_normalized(1e-12)  # the tolerance is fixed at STATE_NORM_TOL
     assert unit.amplitude((0,)) == pytest.approx(0.6)
     assert unit.amplitude((1,)) == pytest.approx(0.8)
     with pytest.raises(ValueError):
@@ -145,7 +147,7 @@ def test_measurement_outcomes_complete_and_reconstruct():
     # Recombining sqrt(p) * conditional against the measured slots rebuilds the state.
     rebuilt = {}
     for pattern, prob, conditional in outcomes:
-        conditional.require_normalized(1e-12)
+        assert abs(conditional.norm() - 1.0) <= 1e-12
         for rest, amp in conditional.amplitudes.items():
             occ = (pattern[0], rest[0], pattern[1], rest[1])
             rebuilt[occ] = amp * math.sqrt(prob)
@@ -206,6 +208,7 @@ def test_qubit_amplitudes_enforce_normalization():
         (1e160j, 1e160, "overflows a float"),
         (float("inf"), 0.0, "overflows a float"),
         (1e-170, 1e-170, "underflows a float"),
+        (1e-160, 1e-160, "underflows a float"),  # subnormal squared norm
     ],
 )
 def test_unnormalized_qubit_norm_out_of_float_range(alpha, beta, message):

@@ -179,7 +179,7 @@ def test_random_points_never_beat_the_optimum():
 
 
 def test_maximize_success_hits_uniform():
-    report = maximize("success", 2, budget=30_000, seed=0, restarts=8)
+    report = maximize("success", 2, seed=0, restarts=8)
     assert report.best_point.weights == SimplexPoint.uniform(2).weights
     assert report.best_value == adjacent_minima_sum(SimplexPoint.uniform(2).weights)
     assert report.best_value == pytest.approx(2 / 3, abs=1e-15)
@@ -222,11 +222,14 @@ def test_success_search_replays_the_random_stages():
     assert not report.budget_exhausted
 
 
-def test_restart_starts_are_drawn_lazily():
-    maximize("success", 4, budget=20, restarts=1)  # loads scipy outside the trace
+def test_restart_starts_are_drawn_lazily(monkeypatch):
+    import klm_teleport.optimize as optimize_module
+
+    monkeypatch.setattr(optimize_module, "SEARCH_BUDGET", 20)
+    maximize("success", 4, restarts=1)  # loads scipy outside the trace
     tracemalloc.start()
     try:
-        report = maximize("success", 4, budget=20, restarts=10**6)
+        report = maximize("success", 4, restarts=10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -235,8 +238,8 @@ def test_restart_starts_are_drawn_lazily():
 
 
 def test_maximize_is_seed_deterministic():
-    first = maximize("success", 3, budget=20_000, seed=5, restarts=4)
-    second = maximize("success", 3, budget=20_000, seed=5, restarts=4)
+    first = maximize("success", 3, seed=5, restarts=4)
+    second = maximize("success", 3, seed=5, restarts=4)
     assert first.best_point.weights == second.best_point.weights
     assert first.best_value == second.best_value
     assert first.evaluations == second.evaluations
@@ -267,8 +270,11 @@ def test_maximize_avg_fidelity_matches_the_sine_profile():
         assert abs(report.best_value - optimal_avg_fidelity(n)) <= 1e-15
 
 
-def test_maximize_respects_tiny_budgets():
-    report = maximize("success", 4, budget=50, seed=0, restarts=2)
+def test_maximize_respects_tiny_budgets(monkeypatch):
+    import klm_teleport.optimize as optimize_module
+
+    monkeypatch.setattr(optimize_module, "SEARCH_BUDGET", 50)
+    report = maximize("success", 4, seed=0, restarts=2)
     assert report.budget_exhausted
     assert report.evaluations <= 50 + 5 * (4 + 2)  # slack for a final in-flight simplex
 
@@ -278,15 +284,12 @@ def test_maximize_rejects_bad_arguments():
         maximize("entropy", 2)
     with pytest.raises(ValueError):
         maximize("success", 0)
-    with pytest.raises(ValueError):
-        maximize("success", 2, budget=0)
     with pytest.raises(ValueError, match="restarts"):
         maximize("success", 4, restarts=0)
+    with pytest.raises(TypeError, match="budget"):
+        maximize("success", 4, budget=50)  # fixed at SEARCH_BUDGET
     with pytest.raises(ValueError, match="samples"):
         maximize("avg_fidelity", 2, mc_samples=1)
-    for n, budget in ((4, 6), (1, 3), (2, 4), (3, 5)):
-        with pytest.raises(ValueError, match=f"budget {budget} "):
-            maximize("success", n, budget=budget)
     for objective in ("success", "avg_fidelity"):
         with pytest.raises(ValueError, match="at most"):
             maximize(objective, MAXIMIZE_LIMIT + 1)
@@ -312,7 +315,7 @@ def test_success_search_calls_minimize_through_the_module_global(monkeypatch):
 
 
 def test_maximize_report_dict_shape():
-    report = maximize("success", 1, budget=5_000, seed=0, restarts=2)
+    report = maximize("success", 1, seed=0, restarts=2)
     payload = report.as_dict()
     assert payload["objective"] == "success"
     assert payload["n"] == 1

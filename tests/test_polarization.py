@@ -256,6 +256,8 @@ def test_polarization_oracle_agrees_with_law():
 def test_polarization_oracle_refuses_large_n():
     with pytest.raises(ValueError, match="n <= 5"):
         run_oracle_polarization(ResourceCoefficients.uniform(6), balanced())
+    with pytest.raises(TypeError, match="limit"):
+        run_oracle_polarization(ResourceCoefficients.uniform(6), balanced(), limit=6)
 
 
 def test_teleported_state_frozen():
@@ -270,6 +272,10 @@ def test_teleported_state_frozen():
     dead = ResourceCoefficients.from_weights([0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="never occurs"):
         teleported_state(dead, balanced(), 1)
+    # p(m=1) = 1e-320 is subnormal; the state is still normalized.
+    tiny = ResourceCoefficients.normalized([1e-160, 1e-160, 1.0])
+    amp_h, amp_v = teleported_state(tiny, balanced(), 1).mode_amplitudes(0)
+    assert (amp_h, amp_v) == pytest.approx((1 / math.sqrt(2), 1 / math.sqrt(2)), abs=1e-15)
 
 
 def test_correction_circuit_worked_example():

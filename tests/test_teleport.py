@@ -84,7 +84,7 @@ def test_resource_state_structure():
     assert state2.amplitude((0, 0, 1, 1)) == pytest.approx(math.sqrt(0.2))
     assert state2.amplitude((1, 0, 0, 1)) == pytest.approx(math.sqrt(0.3))
     assert state2.amplitude((1, 1, 0, 0)) == pytest.approx(math.sqrt(0.5))
-    state2.require_normalized(1e-12)
+    assert abs(state2.norm() - 1.0) <= 1e-12
 
 
 def test_protocol_input_has_three_modes_and_four_terms_at_n1():
