@@ -3,8 +3,8 @@
 Four subcommands:
 
 * ``teleport``  — outcome table for one resource/input pair (JSON or CSV),
-  optionally reconciled against the exact Fock-space oracle, which runs up
-  to n = 8 unless ``--oracle-limit`` says otherwise.
+  optionally reconciled against the exact Fock-space oracle (JSON only),
+  which runs up to n = 8 unless ``--oracle-limit`` says otherwise.
 * ``psuccess``  — brute-force versus extrema-formula success probability.
 * ``optimize``  — maximize success probability or average fidelity over the
   resource weights; emits the full optimization report.
@@ -38,6 +38,7 @@ from .correction import (
     p_success_total_brute,
 )
 from .fock import QubitAmplitudes
+from .optics import MAX_PHOTONS
 from .optimize import (
     FailureConvention,
     SimplexPoint,
@@ -242,9 +243,22 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_teleport(args: argparse.Namespace) -> str:
+    if args.oracle and args.format == "csv":
+        raise ConfigError("--oracle reports in JSON only; drop --format csv")
     rc = parse_coefficients(args)
     qubit = parse_qubit(args.qubit)
     n = rc.n
+    if args.oracle:
+        if n > args.oracle_limit:
+            raise ConfigError(
+                f"--oracle supports n <= {args.oracle_limit} (requested n={n}); "
+                "raise --oracle-limit to go bigger"
+            )
+        if n + 1 > MAX_PHOTONS:
+            raise ConfigError(
+                f"--oracle at n={n} simulates {n + 1} photons; "
+                f"the Fock engine holds at most {MAX_PHOTONS}"
+            )
     outcomes = run_analytic(rc, qubit)
     weights = rc.weights()
     rows = []
@@ -280,11 +294,6 @@ def cmd_teleport(args: argparse.Namespace) -> str:
         "p_success_total": p_success_total_brute(rc),
     }
     if args.oracle:
-        if n > args.oracle_limit:
-            raise ConfigError(
-                f"--oracle supports n <= {args.oracle_limit} (requested n={n}); "
-                "raise --oracle-limit to go bigger"
-            )
         oracle = run_oracle(rc, qubit, limit=args.oracle_limit)
         payload["oracle"] = {
             "max_deviation": oracle_deviation(outcomes, oracle),
@@ -454,7 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tel.add_argument(
         "--oracle",
         action="store_true",
-        help="also run the exact Fock-space oracle and report the max deviation",
+        help=(
+            "also run the exact Fock-space oracle and report the max deviation "
+            f"(JSON output only; n + 1 photons, at most {MAX_PHOTONS})"
+        ),
     )
     p_tel.add_argument(
         "--oracle-limit",

@@ -176,13 +176,13 @@ def tensor(left: PureState, right: PureState) -> PureState:
 
 
 def _picker(indices: list[int]) -> Callable[[Occupation], Occupation]:
-    """Occupation -> the tuple of its entries at ``indices``."""
-    if len(indices) == 1:
-        # itemgetter with a single index returns the entry, not a 1-tuple.
-        (index,) = indices
-        return lambda occ: (occ[index],)
+    """Occupation -> the tuple of its entries at ``indices`` (ascending, distinct)."""
     if not indices:
         return lambda occ: ()
+    first, last = indices[0], indices[-1]
+    if last - first + 1 == len(indices):
+        # One contiguous run: a tuple slice, which is a tuple even for one entry.
+        return itemgetter(slice(first, last + 1))
     return itemgetter(*indices)
 
 
@@ -221,7 +221,7 @@ def measure_photon_counts(
     outcomes: list[MeasurementOutcome] = []
     for pattern in sorted(grouped):
         branch = grouped[pattern]
-        prob = math.fsum(abs(a) ** 2 for a in branch.values())
+        prob = math.fsum([abs(a) ** 2 for a in branch.values()])
         if prob < OUTCOME_EPS:
             continue
         scale = 1.0 / math.sqrt(prob)

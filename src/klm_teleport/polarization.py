@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -40,6 +41,7 @@ from .teleport import (
     TeleportOutcome,
     build_resource_state,
     fourier_phase,
+    gc_paused,
     number_branches,
     qubit_state,
     reconcile_outcomes,
@@ -285,12 +287,12 @@ def run_oracle_polarization(
             f"polarization oracle limited to n <= {POLARIZATION_ORACLE_LIMIT} "
             f"(requested n={n})"
         )
-    state = dual_rail(tensor(qubit_state(qubit), build_resource_state(rc)))
-    doubled = ModeUnitary(np.kron(fourier_unitary(n + 1).matrix, np.eye(2)))
-    transform = embed(doubled, range(2 * (n + 1)), state.mode_count)
-    evolved = apply(transform, state)
-    measured = measure_photon_counts(evolved, range(2 * (n + 1)))
     branches = [tuple(_dual(occ) for occ in number_branches(n, m)) for m in range(n + 2)]
+    # Outcomes whose law has a single branch take no phase.
+    one_branch = [
+        qubit.alpha == 0 or qubit.beta == 0 or rc.at(m) == 0 or rc.at(m - 1) == 0
+        for m in range(n + 2)
+    ]
 
     def read(pattern: Occupation):
         if sum(pattern) != n + 1:
@@ -301,12 +303,17 @@ def run_oracle_polarization(
         return m, branches[m]
 
     def phase_of(pattern: Occupation, m: int) -> complex:
-        if qubit.alpha == 0 or qubit.beta == 0 or rc.at(m) == 0 or rc.at(m - 1) == 0:
+        if one_branch[m]:
             return 1 + 0j
-        rail_totals = tuple(h + v for h, v in zip(pattern[0::2], pattern[1::2]))
-        return fourier_phase(rail_totals)
+        return fourier_phase(tuple(map(add, pattern[0::2], pattern[1::2])))
 
-    return reconcile_outcomes(rc, qubit, measured, read, phase_of)
+    with gc_paused():
+        state = dual_rail(tensor(qubit_state(qubit), build_resource_state(rc)))
+        doubled = ModeUnitary(np.kron(fourier_unitary(n + 1).matrix, np.eye(2)))
+        transform = embed(doubled, range(2 * (n + 1)), state.mode_count)
+        evolved = apply(transform, state)
+        measured = measure_photon_counts(evolved, range(2 * (n + 1)))
+        return reconcile_outcomes(rc, qubit, measured, read, phase_of)
 
 
 def teleported_state(

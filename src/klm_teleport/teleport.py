@@ -23,12 +23,16 @@ polarization-encoded oracle.
 from __future__ import annotations
 
 import cmath
+import gc
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,6 +193,31 @@ def run_analytic(rc: ResourceCoefficients, qubit: QubitAmplitudes) -> list[Telep
     return outcomes
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, then restore the caller's state.
+
+    The oracles allocate many small tuples, dicts and complex values that
+    form no reference cycles, so the collector's generation-0 passes
+    find nothing to free and only cost time.  Nothing is collected here: a
+    caller that had the collector enabled gets it back enabled, one that had
+    disabled it keeps it disabled, also when the block raises.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@cache
+def _roots_of_unity(points: int) -> tuple[complex, ...]:
+    """exp(2*pi*i * k / points) for k = 0 .. points-1, the same expression per k."""
+    return tuple(cmath.exp(2j * math.pi * k / points) for k in range(points))
+
+
 def fourier_phase(counts: Occupation) -> complex:
     """exp(2*pi*i * (sum_l l*counts[l] mod N) / N) for N = len(counts) output modes.
 
@@ -199,11 +228,11 @@ def fourier_phase(counts: Occupation) -> complex:
     photon multiplies row l of the permanent behind <counts| U |source> by
     omega^l for each of its counts[l] copies.  The two branches therefore
     reach the pattern with equal magnitude and relative phase
-    omega^(sum_l l*counts[l]), whatever the pattern.
+    omega^(sum_l l*counts[l]), whatever the pattern.  The N values are
+    tabulated once per N.
     """
     points = len(counts)
-    exponent = sum(l * t for l, t in enumerate(counts)) % points
-    return cmath.exp(2j * math.pi * exponent / points)
+    return _roots_of_unity(points)[sum(map(mul, range(points), counts)) % points]
 
 
 def derive_phase_correction(
@@ -222,12 +251,13 @@ def derive_phase_correction(
     the factor is :func:`fourier_phase` of the pattern.  It is a formula of
     the pattern alone, independent of the full interferometer simulation.
     """
-    n = rc.n
-    if not 1 <= m <= n:
+    coefficients = rc.amplitudes
+    points = len(coefficients)
+    if not 1 <= m < points:
         raise ValueError(f"phase correction applies to success outcomes, got m={m}")
-    if len(pattern) != n + 1 or sum(pattern) != m:
-        raise ValueError(f"pattern {pattern} does not detect m={m} photons on {n + 1} modes")
-    if qubit.alpha == 0 or qubit.beta == 0 or rc.at(m) == 0 or rc.at(m - 1) == 0:
+    if len(pattern) != points or sum(pattern) != m:
+        raise ValueError(f"pattern {pattern} does not detect m={m} photons on {points} modes")
+    if qubit.alpha == 0 or qubit.beta == 0 or coefficients[m] == 0 or coefficients[m - 1] == 0:
         return 1 + 0j
     return fourier_phase(pattern)
 
@@ -266,27 +296,33 @@ def reconcile_outcomes(
     """
     n = rc.n
     analytic = run_analytic(rc, qubit)
-    per_m_patterns: dict[int, list[PatternRecord]] = {}
+    # Per-m values, computed once: the records, the law's qubit and its magnitudes.
+    per_m_patterns: list[list[PatternRecord]] = [[] for _ in analytic]
+    laws = [law.conditional_qubit for law in analytic]
+    magnitudes = [(abs(law.alpha), abs(law.beta)) if law is not None else None for law in laws]
     per_m_qubit: dict[int, tuple[float, QubitAmplitudes]] = {}
 
     for pattern, prob, conditional in measured:
         m, occupations = read(pattern)
-        if m > n + 1:
+        if not 0 <= m <= n + 1:
             raise OracleMismatchError(f"impossible outcome m={m} in pattern {pattern}")
         amplitudes = conditional.amplitudes
-        outside = math.sqrt(
-            math.fsum(abs(a) ** 2 for occ, a in amplitudes.items() if occ not in occupations)
-        )
-        if outside > ORACLE_TOL:
-            raise OracleMismatchError(
-                f"pattern {pattern} holds amplitude {outside:.3e} outside its branch occupations"
+        # With every key a branch occupation, the amplitude outside is exactly 0.
+        if not all(map(occupations.__contains__, amplitudes)):
+            outside = math.sqrt(
+                math.fsum([abs(a) ** 2 for occ, a in amplitudes.items() if occ not in occupations])
             )
-        records = per_m_patterns.setdefault(m, [])
+            if outside > ORACLE_TOL:
+                raise OracleMismatchError(
+                    f"pattern {pattern} holds amplitude {outside:.3e} "
+                    "outside its branch occupations"
+                )
+        records = per_m_patterns[m]
         if not 1 <= m <= n:
             records.append(PatternRecord(pattern, prob, 1 + 0j, float("nan")))
             continue
 
-        law = analytic[m].conditional_qubit
+        law = laws[m]
         if law is None:
             raise OracleMismatchError(f"pattern {pattern} detected m={m}, which the law forbids")
         # Per-pattern tolerances loosen for negligible-probability patterns,
@@ -295,7 +331,7 @@ def reconcile_outcomes(
         pat_tol = ORACLE_TOL if prob >= 1e-12 else 1e-6
         amp0 = amplitudes.get(occupations[0], 0j)
         amp1 = amplitudes.get(occupations[1], 0j)
-        expected0, expected1 = abs(law.alpha), abs(law.beta)
+        expected0, expected1 = magnitudes[m]
         if abs(abs(amp0) - expected0) > pat_tol or abs(abs(amp1) - expected1) > pat_tol:
             raise OracleMismatchError(
                 f"pattern {pattern} magnitudes ({abs(amp0):.12f}, {abs(amp1):.12f}) "
@@ -316,7 +352,7 @@ def reconcile_outcomes(
 
     outcomes = []
     for law in analytic:
-        records = tuple(per_m_patterns.get(law.m, ()))
+        records = tuple(per_m_patterns[law.m])
         prob = math.fsum(record.probability for record in records)
         if abs(prob - law.probability) > ORACLE_TOL:
             raise OracleMismatchError(
@@ -373,19 +409,22 @@ def run_oracle(
             f"oracle limited to n <= {limit} (requested n={n}); "
             "raise the limit explicitly to go bigger"
         )
-    protocol_state = tensor(qubit_state(qubit), build_resource_state(rc))
-    transform = embed(fourier_unitary(n + 1), tuple(range(n + 1)), 2 * n + 1)
-    evolved = apply(transform, protocol_state)
-    measured = measure_photon_counts(evolved, range(n + 1))
+    branches = [number_branches(n, m) for m in range(n + 2)]
 
     def read(pattern: Occupation):
         m = sum(pattern)
-        return m, number_branches(n, m)
+        # An impossible m reads no branches; reconcile_outcomes refuses it.
+        return m, branches[m] if m <= n + 1 else ()
 
     def phase_of(pattern: Occupation, m: int) -> complex:
         return derive_phase_correction(pattern, m, rc, qubit)
 
-    return reconcile_outcomes(rc, qubit, measured, read, phase_of)
+    with gc_paused():
+        protocol_state = tensor(qubit_state(qubit), build_resource_state(rc))
+        transform = embed(fourier_unitary(n + 1), tuple(range(n + 1)), 2 * n + 1)
+        evolved = apply(transform, protocol_state)
+        measured = measure_photon_counts(evolved, range(n + 1))
+        return reconcile_outcomes(rc, qubit, measured, read, phase_of)
 
 
 def oracle_deviation(

@@ -405,6 +405,52 @@ def test_oracle_limit_refusal_names_the_limit(capsys):
     assert "n <= 8" in captured.err
 
 
+def _refuse_work(monkeypatch):
+    import klm_teleport.cli as cli_module
+
+    def explode(*args, **kwargs):
+        raise AssertionError("work ran before the configuration was checked")
+
+    monkeypatch.setattr(cli_module, "run_analytic", explode)
+    monkeypatch.setattr(cli_module, "run_oracle", explode)
+
+
+def test_oracle_past_the_photon_limit_is_refused_before_any_work(capsys, monkeypatch):
+    # n + 1 photons must fit optics.MAX_PHOTONS = 39, whatever --oracle-limit says.
+    _refuse_work(monkeypatch)
+    for n in ("39", "40"):
+        code, out, err = run_cli(
+            capsys, "teleport", "--n", n, "--coeffs", "uniform", "--oracle", "--oracle-limit", "40"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"simulates {int(n) + 1} photons" in err and "at most 39" in err
+
+
+def test_oracle_at_the_photon_limit_reaches_the_oracle(capsys, monkeypatch):
+    import klm_teleport.cli as cli_module
+
+    def stop(rc, qubit, *, limit):
+        raise OracleMismatchError(f"reached the oracle at n={rc.n}")
+
+    monkeypatch.setattr(cli_module, "run_oracle", stop)
+    code, out, err = run_cli(
+        capsys, "teleport", "--n", "38", "--coeffs", "uniform", "--oracle", "--oracle-limit", "38"
+    )
+    assert code == 3
+    assert "reached the oracle at n=38" in err
+
+
+def test_oracle_with_csv_output_is_refused_before_any_work(capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "teleport", "--n", "2", "--coeffs", "uniform", "--oracle", "--format", "csv"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--oracle" in err and "--format csv" in err
+
+
 def test_oracle_mismatch_exits_three(capsys, monkeypatch):
     import klm_teleport.cli as cli_module
 

@@ -155,6 +155,23 @@ def test_measurement_outcomes_complete_and_reconstruct():
         assert rebuilt[occ] == pytest.approx(amp, abs=1e-12)
 
 
+def test_measuring_a_contiguous_inner_run_rebuilds_the_state():
+    # Modes [1, 2] of 4: contiguous but not a prefix, and the kept modes
+    # [0, 3] are not contiguous.
+    rng = np.random.default_rng(13)
+    state = random_state(4, 3, rng)
+    outcomes = measure_photon_counts(state, [2, 1])
+    assert math.fsum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
+    rebuilt = {}
+    for pattern, prob, conditional in outcomes:
+        assert type(pattern) is tuple and len(pattern) == 2
+        for rest, amp in conditional.amplitudes.items():
+            rebuilt[(rest[0], *pattern, rest[1])] = amp * math.sqrt(prob)
+    assert rebuilt.keys() == state.amplitudes.keys()
+    for occ, amp in state.amplitudes.items():
+        assert rebuilt[occ] == pytest.approx(amp, abs=1e-12)
+
+
 def test_measurement_validates_inputs():
     state = PureState.basis_state((1, 0))
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Protocol outcome law, resource construction, and the Fock-space oracle."""
 
+import cmath
 import functools
+import gc
 import json
 import math
 
@@ -369,8 +371,52 @@ def test_oracles_catch_a_corrupted_pattern(monkeypatch, encoding, corrupt, messa
         return outcomes
 
     monkeypatch.setattr(module, "measure_photon_counts", corrupted)
+    collecting = gc.isenabled()
     with pytest.raises(OracleMismatchError, match=message):
         oracle(GAPPED, QubitAmplitudes(0.6, 0.8))
+    # The collector the oracle paused is back as the caller had it.
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("oracle", [run_oracle, run_oracle_polarization])
+def test_oracles_pause_the_collector_and_restore_its_state(monkeypatch, oracle):
+    module = polarization_module if oracle is run_oracle_polarization else teleport_module
+    measure = module.measure_photon_counts
+    seen = []
+
+    def watched(state, modes):
+        seen.append(gc.isenabled())
+        return measure(state, modes)
+
+    def no_collect(*args):
+        raise AssertionError("the oracle ran a collection")
+
+    monkeypatch.setattr(module, "measure_photon_counts", watched)
+    monkeypatch.setattr(gc, "collect", no_collect)
+    rc, qubit = ResourceCoefficients.uniform(2), balanced()
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        oracle(rc, qubit)
+        assert gc.isenabled()
+        gc.disable()
+        oracle(rc, qubit)
+        assert not gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert seen == [False, False]
+
+
+def test_fourier_phase_table_holds_the_exact_roots():
+    for points in range(1, 11):
+        for exponent in range(points):
+            counts = (0,) * points
+            if exponent:
+                counts = counts[:exponent] + (1,) + counts[exponent + 1 :]
+            assert fourier_phase(counts) == cmath.exp(2j * math.pi * exponent / points)
+            # Every exponent modulo N reaches the same entry.
+            assert fourier_phase(counts[:-1] + (counts[-1] + points,)) == fourier_phase(counts)
 
 
 def test_coefficient_file_roundtrip(tmp_path):
