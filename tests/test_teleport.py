@@ -378,9 +378,9 @@ def test_oracles_catch_a_corrupted_pattern(monkeypatch, encoding, corrupt, messa
     assert gc.isenabled() is collecting
 
 
-@pytest.mark.parametrize("oracle", [run_oracle, run_oracle_polarization])
-def test_oracles_pause_the_collector_and_restore_its_state(monkeypatch, oracle):
-    module = polarization_module if oracle is run_oracle_polarization else teleport_module
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+def test_oracles_pause_the_collector_and_restore_its_state(monkeypatch, encoding):
+    module, oracle, _, _ = ENCODINGS[encoding]
     measure = module.measure_photon_counts
     seen = []
 
