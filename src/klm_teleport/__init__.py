@@ -15,7 +15,6 @@ from .correction import (
     KrausPair,
     PlateauError,
     adjacent_minima_sum,
-    apply_correction,
     classify_sequence,
     extrema_formula,
     kraus_for,
@@ -27,8 +26,6 @@ from .fock import (
     MeasurementOutcome,
     PureState,
     QubitAmplitudes,
-    basis_dimension,
-    enumerate_basis,
     measure_photon_counts,
     tensor,
 )
@@ -51,7 +48,6 @@ from .optimize import (
     certify_klm_bound,
     maximize,
     objective_avg_fidelity,
-    objective_success,
     optimal_avg_fidelity,
     optimal_fidelity_profile,
 )
@@ -61,11 +57,8 @@ from .polarization import (
     CircuitResult,
     PolarizedPhotonState,
     RotatedPBS,
-    build_polarized_resource,
     correction_circuit,
     dual_rail,
-    phase_shift,
-    rotate_polarization,
     run_oracle_polarization,
     slot_index,
     teleported_state,
@@ -81,7 +74,6 @@ from .teleport import (
     oracle_deviation,
     run_analytic,
     run_oracle,
-    save_coefficients,
 )
 
 __version__ = "0.1.0"
@@ -110,11 +102,8 @@ __all__ = [
     "TeleportOutcome",
     "adjacent_minima_sum",
     "apply",
-    "apply_correction",
     "average_fidelity_for_qubit",
     "avg_fidelity_closed_form",
-    "basis_dimension",
-    "build_polarized_resource",
     "build_resource_state",
     "certify_klm_bound",
     "classify_sequence",
@@ -122,7 +111,6 @@ __all__ = [
     "derive_phase_correction",
     "dual_rail",
     "embed",
-    "enumerate_basis",
     "extrema_formula",
     "fourier_unitary",
     "kraus_for",
@@ -130,7 +118,6 @@ __all__ = [
     "maximize",
     "measure_photon_counts",
     "objective_avg_fidelity",
-    "objective_success",
     "optimal_avg_fidelity",
     "optimal_fidelity_profile",
     "oracle_deviation",
@@ -138,12 +125,9 @@ __all__ = [
     "p_success_given_m",
     "p_success_total_brute",
     "permanent",
-    "phase_shift",
-    "rotate_polarization",
     "run_analytic",
     "run_oracle",
     "run_oracle_polarization",
-    "save_coefficients",
     "slot_index",
     "teleported_state",
     "tensor",

@@ -47,9 +47,9 @@ from .optimize import (
 )
 from .teleport import (
     COEFF_NORM_TOL,
-    MAXIMIZE_LIMIT,
     ORACLE_LIMIT,
     ORACLE_TOL,
+    RESOURCE_LIMIT,
     OracleMismatchError,
     ResourceCoefficients,
     load_coefficients,
@@ -168,11 +168,19 @@ def parse_coefficients(args: argparse.Namespace) -> ResourceCoefficients:
             raise ConfigError("--squared applies to inline coefficients only")
         if args.n < 1:
             raise ConfigError(f"--n must be at least 1, got {args.n}")
+        if args.n > RESOURCE_LIMIT:
+            raise ConfigError(f"--n must be at most {RESOURCE_LIMIT}, got {args.n}")
         return ResourceCoefficients.uniform(args.n)
     if source.startswith("inline:"):
         body = source[len("inline:") :]
+        entries = body.split(",")
+        if len(entries) > RESOURCE_LIMIT + 1:
+            raise ConfigError(
+                f"inline coefficients allow n <= {RESOURCE_LIMIT}, "
+                f"got {len(entries)} entries"
+            )
         try:
-            values = [float(v) for v in body.split(",")]
+            values = [float(v) for v in entries]
         except ValueError:
             raise ConfigError(f"bad inline coefficient list {body!r}") from None
         if not all(math.isfinite(v) for v in values):
@@ -379,8 +387,8 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         raise ConfigError(
             f"--n-max ({args.n_max}) must not be below --n-min ({args.n_min})"
         )
-    if args.n_max > MAXIMIZE_LIMIT:
-        raise ConfigError(f"--n-max must be at most {MAXIMIZE_LIMIT}, got {args.n_max}")
+    if args.n_max > RESOURCE_LIMIT:
+        raise ConfigError(f"--n-max must be at most {RESOURCE_LIMIT}, got {args.n_max}")
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         uniform_rc = ResourceCoefficients.uniform(n)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import QubitAmplitudes
-from .teleport import ResourceCoefficients, TeleportOutcome
+from .teleport import ResourceCoefficients
 
 
 class PlateauError(ValueError):
@@ -89,30 +89,6 @@ def p_success_given_m(
     if p_m == 0.0:
         raise ValueError(f"outcome m={m} never occurs for this input")
     return min(abs(rc.at(m - 1)) ** 2, abs(rc.at(m)) ** 2) / p_m
-
-
-def apply_correction(
-    outcome: TeleportOutcome,
-    rc: ResourceCoefficients,
-    seed: int | None = None,
-) -> tuple[str, QubitAmplitudes]:
-    """Sample the correction POVM on a success outcome.
-
-    Returns ("S", restored qubit) or ("F", collapsed logical state).  The
-    success branch reproduces the input exactly (up to global phase); the
-    failure branch projects onto whichever logical state the filter keeps.
-    """
-    if outcome.conditional_qubit is None:
-        raise ValueError(f"outcome m={outcome.m} carries no conditional qubit to correct")
-    pair = kraus_for(outcome.m, rc)
-    psi = outcome.conditional_qubit.as_array()
-    success_vec = pair.success @ psi
-    failure_vec = pair.failure @ psi
-    p_s = float(np.vdot(success_vec, success_vec).real)
-    rng = np.random.default_rng(seed)
-    if rng.random() < p_s:
-        return "S", QubitAmplitudes.from_unnormalized(*success_vec)
-    return "F", QubitAmplitudes.from_unnormalized(*failure_vec)
 
 
 def adjacent_minima_sum(weights: Sequence[float]) -> float:

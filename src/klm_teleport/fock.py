@@ -12,7 +12,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -28,36 +27,6 @@ OUTCOME_EPS = 1e-15
 NORM_TOL = 1e-12
 #: Deviation from unit norm that ``PureState.require_normalized`` accepts.
 STATE_NORM_TOL = 1e-9
-
-
-@lru_cache(maxsize=None)
-def _compositions(modes: int, total: int) -> tuple[Occupation, ...]:
-    if modes == 1:
-        return ((total,),)
-    out: list[Occupation] = []
-    for first in range(total + 1):
-        out.extend((first,) + rest for rest in _compositions(modes - 1, total - first))
-    return tuple(out)
-
-
-def enumerate_basis(modes: int, total_photons: int) -> list[Occupation]:
-    """All occupation tuples of ``total_photons`` photons in ``modes`` modes.
-
-    Returned in lexicographic order; the count is the stars-and-bars binomial
-    C(total_photons + modes - 1, modes - 1).
-    """
-    if modes < 1:
-        raise ValueError(f"mode count must be positive, got {modes}")
-    if total_photons < 0:
-        raise ValueError(f"photon count must be nonnegative, got {total_photons}")
-    return list(_compositions(modes, total_photons))
-
-
-def basis_dimension(modes: int, total_photons: int) -> int:
-    """Size of ``enumerate_basis(modes, total_photons)`` without enumerating it."""
-    if modes < 1:
-        raise ValueError(f"mode count must be positive, got {modes}")
-    return math.comb(total_photons + modes - 1, modes - 1)
 
 
 def _significant(terms: Iterable[tuple[Occupation, complex]]) -> dict[Occupation, complex]:
@@ -130,40 +99,10 @@ class PureState:
     def norm(self) -> float:
         return math.sqrt(math.fsum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-    def normalized(self) -> "PureState":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return PureState(self.mode_count, {occ: a / nrm for occ, a in self.amplitudes.items()})
-
-    def scaled(self, factor: complex) -> "PureState":
-        return PureState.from_terms(
-            self.mode_count, {occ: a * factor for occ, a in self.amplitudes.items()}
-        )
-
-    def pruned(self, eps: float = PRUNE_EPS) -> "PureState":
-        # "not <=" keeps a NaN, so the constructor refuses it instead of dropping it.
-        return PureState(
-            self.mode_count, {occ: a for occ, a in self.amplitudes.items() if not abs(a) <= eps}
-        )
-
     def require_normalized(self) -> None:
         dev = abs(self.norm() - 1.0)
         if not dev <= STATE_NORM_TOL:
             raise ValueError(f"state is not normalized (|norm - 1| = {dev:.3e})")
-
-    def inner(self, other: "PureState") -> complex:
-        """Hermitian inner product, self conjugated."""
-        if self.mode_count != other.mode_count:
-            raise ValueError("inner product needs matching mode counts")
-        small, large = self.amplitudes, other.amplitudes
-        if len(large) < len(small):
-            return complex(
-                sum(a.conjugate() * small[occ] for occ, a in large.items() if occ in small)
-            ).conjugate()
-        return complex(
-            sum(small[occ].conjugate() * large[occ] for occ in small if occ in large)
-        )
 
 
 def tensor(left: PureState, right: PureState) -> PureState:
@@ -266,9 +205,6 @@ class QubitAmplitudes:
     def haar_random(cls, rng: np.random.Generator) -> "QubitAmplitudes":
         z = rng.normal(size=4)
         return cls.from_unnormalized(z[0] + 1j * z[1], z[2] + 1j * z[3])
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta], dtype=complex)
 
     def fidelity_with(self, other: "QubitAmplitudes") -> float:
         overlap = self.alpha.conjugate() * other.alpha + self.beta.conjugate() * other.beta

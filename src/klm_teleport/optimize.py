@@ -31,7 +31,7 @@ import numpy as np
 from .correction import adjacent_minima_sum, classify_sequence
 from .fock import QubitAmplitudes
 from .teleport import (
-    MAXIMIZE_LIMIT,
+    RESOURCE_LIMIT,
     OracleMismatchError,
     ResourceCoefficients,
     run_analytic,
@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 #: Slack by which the Nelder-Mead check may exceed the certified success bound.
 SEARCH_TOL = 1e-12
 #: Objective evaluations the Nelder-Mead check may spend over all its restarts.
-#: Far above n + 2 for every n up to MAXIMIZE_LIMIT, so the first stage always runs.
+#: Far above n + 2 for every n up to RESOURCE_LIMIT, so the first stage always runs.
 SEARCH_BUDGET = 150_000
 #: Probability that the Monte-Carlo cross-check rejects a correct closed form.
 MC_FALSE_ALARM = 1e-9
@@ -83,10 +83,6 @@ class SimplexPoint:
         return cls(tuple(vals))
 
     @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "SimplexPoint":
-        return cls.from_unnormalized(rng.dirichlet(np.ones(n + 1)))
-
-    @classmethod
     def from_unnormalized(cls, values: Iterable[float]) -> "SimplexPoint":
         vals = [float(v) for v in values]
         if any(v < 0 for v in vals):
@@ -109,11 +105,6 @@ class FailureConvention(enum.Enum):
 
     COLLAPSE = "collapse"
     ZERO_FIDELITY = "zero_fidelity"
-
-
-def objective_success(point: SimplexPoint) -> float:
-    """Corrected-success probability: sum of adjacent weight minima."""
-    return adjacent_minima_sum(point.weights)
 
 
 def avg_fidelity_closed_form(
@@ -455,14 +446,14 @@ def maximize(
     short.  If any stage beats n/(n+1) by more than SEARCH_TOL the two
     routes disagree and ``OracleMismatchError`` is raised.  Raises
     ``ValueError`` before any work for invalid arguments, including n above
-    MAXIMIZE_LIMIT.
+    RESOURCE_LIMIT.
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
     if n < 1:
         raise ValueError(f"resource size must be at least 1, got {n}")
-    if n > MAXIMIZE_LIMIT:
-        raise ValueError(f"resource size must be at most {MAXIMIZE_LIMIT}, got {n}")
+    if n > RESOURCE_LIMIT:
+        raise ValueError(f"resource size must be at most {RESOURCE_LIMIT}, got {n}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if mc_samples < 2:

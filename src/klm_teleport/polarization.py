@@ -34,7 +34,7 @@ import numpy as np
 
 from . import optics
 from .fock import Occupation, PureState, QubitAmplitudes, measure_photon_counts, tensor
-from .optics import UNITARY_TOL, ModeUnitary, apply, embed, fourier_unitary
+from .optics import ModeUnitary, apply, embed, fourier_unitary
 from .teleport import (
     OracleMismatchError,
     ResourceCoefficients,
@@ -124,9 +124,6 @@ class PolarizedPhotonState:
             self.single_photon_amplitude(mode, VERTICAL),
         )
 
-    def norm(self) -> float:
-        return self.state.norm()
-
 
 def _unit_occupation(slots: int, slot: int) -> Occupation:
     return (0,) * slot + (1,) + (0,) * (slots - slot - 1)
@@ -154,30 +151,6 @@ def _phase_plate(mat: np.ndarray, mode: int, phase: complex) -> np.ndarray:
     return mat
 
 
-def _check_device(
-    polarized: PolarizedPhotonState,
-    device: str,
-    rails: tuple[int, ...],
-    input_rail: int | None = None,
-    empty_rails: tuple[int, ...] = (),
-) -> None:
-    """Every rail must exist, ``input_rail`` may hold one photon at most, ``empty_rails`` none."""
-    if any(not 0 <= r < polarized.spatial_modes for r in rails):
-        raise ValueError(f"{device} rails {rails} exceed the state's spatial modes")
-    for occ in polarized.state.amplitudes:
-        if any(any(occ[_rail(r)]) for r in empty_rails):
-            raise ValueError(f"{device} output rails must be empty")
-        if input_rail is not None and sum(occ[_rail(input_rail)]) > 1:
-            raise ValueError(f"{device} model handles at most one photon on its input rail")
-
-
-def _evolve(polarized: PolarizedPhotonState, device, *args) -> PolarizedPhotonState:
-    """Evolve ``polarized`` by the device's slot unitary, ``device(identity, *args)``."""
-    matrix = device(np.eye(2 * polarized.spatial_modes, dtype=complex), *args)
-    state = optics.apply(ModeUnitary(matrix), polarized.state)
-    return PolarizedPhotonState(polarized.spatial_modes, state)
-
-
 @dataclass(frozen=True)
 class RotatedPBS:
     """Polarizing beam splitter rotated by ``theta``, with named output rails.
@@ -189,9 +162,7 @@ class RotatedPBS:
         reflect:  (cos t * h - sin t * v)  carrying (cos t, -sin t),
         transmit: (sin t * h + cos t * v)  carrying (sin t, cos t).
 
-    The device is a slot unitary (see ``_compose``).  ``apply`` takes
-    normalized states with at most one photon on the input rail and empty
-    output rails, which is all the correction circuit ever produces.
+    The device is a slot unitary (see ``_compose``).
     """
 
     theta: float
@@ -226,44 +197,6 @@ class RotatedPBS:
             mat[a], mat[b] = mat[b].copy(), mat[a].copy()
         _rotator(mat, self.reflect_mode, -self.theta)
         return _rotator(mat, self.transmit_mode, -self.theta)
-
-    def apply(self, polarized: PolarizedPhotonState) -> PolarizedPhotonState:
-        outputs = (self.reflect_mode, self.transmit_mode)
-        _check_device(polarized, "splitter", (self.input_mode, *outputs), self.input_mode, outputs)
-        return _evolve(polarized, self._compose)
-
-
-def phase_shift(polarized: PolarizedPhotonState, mode: int, phase: complex) -> PolarizedPhotonState:
-    """Multiply every photon on ``mode`` (either polarization) by ``phase``.
-
-    The phase is judged by the quantity the plate's ``ModeUnitary`` checks,
-    | |phase|^2 - 1 | against ``UNITARY_TOL``.
-    """
-    modulus = abs(phase)
-    if not abs(modulus * modulus - 1.0) <= UNITARY_TOL:
-        raise ValueError(f"phase factor must be finite and have unit modulus, got {phase!r}")
-    _check_device(polarized, "phase plate", (mode,))
-    return _evolve(polarized, _phase_plate, mode, phase)
-
-
-def rotate_polarization(
-    polarized: PolarizedPhotonState, mode: int, theta: float
-) -> PolarizedPhotonState:
-    """Rotate the (H, V) amplitudes on one rail by [[cos, -sin], [sin, cos]]."""
-    if not math.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta!r}")
-    _check_device(polarized, "rotation", (mode,), mode)
-    return _evolve(polarized, _rotator, mode, theta)
-
-
-def build_polarized_resource(rc: ResourceCoefficients) -> PolarizedPhotonState:
-    """Resource over 2n rails, one photon each: the dual rail of the number resource.
-
-    Term i polarizes the first i front rails and the last n-i back rails
-    vertically, everything else horizontally, weighted by c_i.
-    """
-    return PolarizedPhotonState(2 * rc.n, dual_rail(build_resource_state(rc)))
-
 
 def run_oracle_polarization(
     rc: ResourceCoefficients, qubit: QubitAmplitudes

@@ -51,12 +51,13 @@ from .optics import transition_amplitude  # noqa: F401
 
 #: Largest n for which the exact Fock-space oracle runs by default.
 ORACLE_LIMIT = 8
-#: Largest n that ``optimize.maximize`` accepts.  Its dense (n+1)x(n+1)
-#: eigenproblem and (n+2)x(n+1) Nelder-Mead simplex take ~8 MB each here, so
-#: a larger n is refused up front instead of failing to allocate.  It bounds
+#: Largest resource size n that every command, ``load_coefficients`` and
+#: ``optimize.maximize`` accept.  The dense (n+1)x(n+1) eigenproblem and
+#: (n+2)x(n+1) Nelder-Mead simplex of ``maximize`` take ~8 MB each here, so a
+#: larger n is refused up front instead of failing to allocate.  It bounds
 #: memory, not time: the success check took ~9 s at n = 50, ~23-29 s at n = 200
 #: and over 300 s at n = 1000 (2-core machine).
-MAXIMIZE_LIMIT = 1_000
+RESOURCE_LIMIT = 1_000
 #: Agreement tolerance between the oracle and the analytic outcome law.
 ORACLE_TOL = 1e-10
 #: Deviation from unit norm that coefficient input may carry without ``renormalize``.
@@ -111,12 +112,6 @@ class ResourceCoefficients:
         if any(w < 0 for w in ws):
             raise ValueError("weights must be nonnegative")
         return cls(tuple(math.sqrt(w) for w in ws))
-
-    @classmethod
-    def normalized(cls, values: Iterable[complex]) -> "ResourceCoefficients":
-        return normalize_coefficients(
-            [complex(v) for v in values], renormalize=True
-        )
 
 
 class PatternRecord(NamedTuple):
@@ -451,6 +446,7 @@ def load_coefficients(
 ) -> ResourceCoefficients:
     """Read a coefficient file: ``{"n": int, "c": [[re, im], ...]}``.
 
+    An n above ``RESOURCE_LIMIT`` is refused before any entry is converted.
     The entries are normalized by :func:`normalize_coefficients`.
     """
     try:
@@ -465,6 +461,8 @@ def load_coefficients(
     entries = raw["c"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
+    if n > RESOURCE_LIMIT:
+        raise ValueError(f"'n' must be at most {RESOURCE_LIMIT}, got {n}")
     if not isinstance(entries, list) or len(entries) != n + 1:
         raise ValueError(f"'c' must list n+1 = {n + 1} coefficient pairs")
     values = []
@@ -508,8 +506,3 @@ def normalize_coefficients(
         )
     return ResourceCoefficients(tuple(v / nrm for v in values))
 
-
-def save_coefficients(rc: ResourceCoefficients, path: str | Path) -> None:
-    """Write the coefficient file format read by :func:`load_coefficients`."""
-    payload = {"n": rc.n, "c": [[a.real, a.imag] for a in rc.amplitudes]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")

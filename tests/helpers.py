@@ -1,7 +1,9 @@
 """Shared test utilities: independent oracles and random generators.
 
 The naive permanent here is the reference implementation the fast Gray-code
-version is checked against; keep it dumb on purpose.
+version is checked against; keep it dumb on purpose.  ``enumerate_basis``
+lists every occupation of a photon-number sector, the reference for checks
+that must visit all of them.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import math
 
 import numpy as np
 
-from klm_teleport import PureState, QubitAmplitudes, ResourceCoefficients, enumerate_basis
+from klm_teleport import PureState, QubitAmplitudes, ResourceCoefficients, SimplexPoint
+from klm_teleport.teleport import normalize_coefficients
 
 
 def naive_permanent(matrix) -> complex:
@@ -27,6 +30,17 @@ def naive_permanent(matrix) -> complex:
             product *= mat[row, col]
         total += product
     return total
+
+
+def enumerate_basis(modes: int, photons: int) -> list[tuple[int, ...]]:
+    """Every occupation of ``photons`` photons in ``modes`` modes, in lexicographic order."""
+    if modes == 1:
+        return [(photons,)]
+    return [
+        (first, *rest)
+        for first in range(photons + 1)
+        for rest in enumerate_basis(modes - 1, photons - first)
+    ]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -47,7 +61,14 @@ def random_state(modes: int, photons: int, rng: np.random.Generator) -> PureStat
 
 def random_coefficients(n: int, rng: np.random.Generator) -> ResourceCoefficients:
     vals = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    return ResourceCoefficients.normalized(vals)
+    # complex(v) makes abs(v) ** 2 a Python float power; numpy.float64 ** 2 may
+    # differ in the last bit, and with it every coefficient.
+    return normalize_coefficients([complex(v) for v in vals], renormalize=True)
+
+
+def random_point(n: int, rng: np.random.Generator) -> SimplexPoint:
+    """Dirichlet(1, ..., 1) point on the n-simplex, uniform over the weights."""
+    return SimplexPoint.from_unnormalized(rng.dirichlet(np.ones(n + 1)))
 
 
 def random_qubit(rng: np.random.Generator) -> QubitAmplitudes:

@@ -21,6 +21,7 @@ from klm_teleport.cli import (
     main,
     parse_qubit,
 )
+from klm_teleport.teleport import RESOURCE_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -253,6 +254,15 @@ def test_module_entry_point_runs():
         ["optimize", "--objective", "avgfid", "--n", "200000", "--samples", "2"],
         ["sweep", "--n-min", "200000", "--n-max", "200000", "--samples", "2"],
         ["optimize", "--n", "200000"],
+        # Resources past RESOURCE_LIMIT, refused before the outcome table is built.
+        ["teleport", "--n", str(RESOURCE_LIMIT + 1)],
+        ["psuccess", "--n", str(RESOURCE_LIMIT + 1)],
+        [
+            "teleport",
+            "--renormalize",
+            "--coeffs",
+            "inline:" + ",".join(["1"] * (RESOURCE_LIMIT + 2)),
+        ],
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -657,3 +667,23 @@ def test_coefficient_file_input(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["n"] == 1
     assert payload["p_success_total"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_coefficient_file_past_the_resource_limit_is_refused_before_its_entries(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    # No entries at all: the size alone is refused, before "c" is looked at.
+    path.write_text(json.dumps({"n": RESOURCE_LIMIT + 1, "c": []}))
+    code, out, err = run_cli(capsys, "teleport", "--coeffs", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert f"'n' must be at most {RESOURCE_LIMIT}" in err
+
+
+def test_resources_at_the_limit_still_run(capsys):
+    code, out, _ = run_cli(capsys, "teleport", "--n", str(RESOURCE_LIMIT))
+    assert code == 0
+    assert json.loads(out)["n"] == RESOURCE_LIMIT
+    inline = "inline:" + ",".join(["1"] * (RESOURCE_LIMIT + 1))
+    code, out, _ = run_cli(capsys, "psuccess", "--coeffs", inline, "--renormalize")
+    assert code == 0
+    assert json.loads(out)["brute"] == pytest.approx(RESOURCE_LIMIT / (RESOURCE_LIMIT + 1))

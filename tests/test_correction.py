@@ -13,17 +13,16 @@ from klm_teleport import (
     QubitAmplitudes,
     ResourceCoefficients,
     adjacent_minima_sum,
-    apply_correction,
     classify_sequence,
     extrema_formula,
     kraus_for,
     p_success_closed_form,
     p_success_given_m,
     p_success_total_brute,
-    run_analytic,
 )
+from klm_teleport.teleport import normalize_coefficients
 
-from helpers import random_coefficients, random_qubit, random_strict_weights
+from helpers import random_coefficients, random_strict_weights
 
 
 WORKED = ResourceCoefficients.from_weights([0.5, 0.3, 0.2])
@@ -46,14 +45,14 @@ def test_kraus_frozen_values():
     # Ratios are scale-invariant, so weights proportional to (0.5, 0.3) pin them.
     # The logical-one slot of the conditional carries c_{m-1}; with |c_0|^2 = 0.5
     # dominating |c_1|^2 = 0.3 it is the branch trimmed by sqrt(0.3/0.5).
-    rc = ResourceCoefficients.normalized([math.sqrt(0.5), math.sqrt(0.3)])
+    rc = normalize_coefficients([math.sqrt(0.5), math.sqrt(0.3)], renormalize=True)
     pair = kraus_for(1, rc)
     np.testing.assert_allclose(pair.success, np.diag([1.0, math.sqrt(0.6)]), atol=1e-12)
     np.testing.assert_allclose(pair.failure, np.diag([0.0, math.sqrt(0.4)]), atol=1e-12)
 
 
 def test_kraus_mirror_branch():
-    rc = ResourceCoefficients.normalized([math.sqrt(0.3), math.sqrt(0.5)])
+    rc = normalize_coefficients([math.sqrt(0.3), math.sqrt(0.5)], renormalize=True)
     pair = kraus_for(1, rc)
     np.testing.assert_allclose(pair.success, np.diag([math.sqrt(0.6), 1.0]), atol=1e-12)
     np.testing.assert_allclose(pair.failure, np.diag([math.sqrt(0.4), 0.0]), atol=1e-12)
@@ -102,39 +101,6 @@ def test_p_success_given_m_rejects_zero_probability():
         p_success_given_m(1, dead, balanced())
     # A merely lopsided qubit is fine: uniform coefficients keep p(1) > 0.
     p_success_given_m(1, ResourceCoefficients.uniform(2), QubitAmplitudes(0.0, 1.0))
-
-
-def test_apply_correction_success_recovers_input():
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        rc = random_coefficients(3, rng)
-        q = random_qubit(rng)
-        outcomes = run_analytic(rc, q)
-        for outcome in outcomes[1:-1]:
-            if outcome.probability < 1e-12:
-                continue
-            label, corrected = apply_correction(outcome, rc, seed=outcome.m)
-            if label == "S":
-                assert corrected.fidelity_with(q) == pytest.approx(1.0, abs=1e-12)
-            else:
-                # Failure collapses onto a logical basis state.
-                assert min(abs(corrected.alpha), abs(corrected.beta)) == pytest.approx(
-                    0.0, abs=1e-12
-                )
-
-
-def test_apply_correction_is_seed_deterministic():
-    outcomes = run_analytic(WORKED, balanced())
-    first = apply_correction(outcomes[1], WORKED, seed=5)
-    second = apply_correction(outcomes[1], WORKED, seed=5)
-    assert first[0] == second[0]
-    assert first[1].as_array() == pytest.approx(second[1].as_array())
-
-
-def test_apply_correction_requires_conditional():
-    outcomes = run_analytic(WORKED, balanced())
-    with pytest.raises(ValueError):
-        apply_correction(outcomes[0], WORKED, seed=0)
 
 
 def test_adjacent_minima_sum_frozen():

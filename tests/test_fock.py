@@ -1,4 +1,4 @@
-"""Sparse Fock-state machinery: basis enumeration, states, measurement."""
+"""Sparse Fock-state machinery: states, tensor products, measurement."""
 
 import math
 
@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from klm_teleport import (
     PureState,
     QubitAmplitudes,
-    basis_dimension,
-    enumerate_basis,
     measure_photon_counts,
     tensor,
 )
 
-from helpers import random_state
+from helpers import enumerate_basis, random_state
 
 
 def test_enumerate_basis_three_modes_two_photons():
@@ -31,23 +29,13 @@ def test_enumerate_basis_three_modes_two_photons():
 
 
 def test_enumerate_basis_is_sorted_and_complete():
+    # The apply-versus-permanent checks visit every occupation this lists.
     basis = enumerate_basis(4, 3)
     assert basis == sorted(basis)
     assert len(set(basis)) == len(basis)
     assert all(sum(occ) == 3 and len(occ) == 4 for occ in basis)
-
-
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=6))
-def test_basis_dimension_matches_enumeration(modes, photons):
-    assert basis_dimension(modes, photons) == len(enumerate_basis(modes, photons))
-    assert basis_dimension(modes, photons) == math.comb(photons + modes - 1, modes - 1)
-
-
-def test_enumerate_basis_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        enumerate_basis(0, 2)
-    with pytest.raises(ValueError):
-        enumerate_basis(2, -1)
+    # Stars and bars: C(3 + 4 - 1, 4 - 1) occupations in all.
+    assert len(basis) == math.comb(6, 3)
 
 
 def test_pure_state_validates_occupations():
@@ -80,11 +68,6 @@ def test_from_terms_rejects_non_finite_amplitudes(bad):
 def test_pure_state_rejects_non_finite_amplitudes(bad):
     with pytest.raises(ValueError, match="not finite"):
         PureState(2, {(1, 0): bad, (0, 1): 1.0})
-    # pruned keeps a NaN (NaN > eps is False) so the constructor can refuse it.
-    state = PureState(2, {(1, 0): 0.6, (0, 1): 0.8})
-    state.amplitudes[(1, 0)] = bad
-    with pytest.raises(ValueError, match="not finite"):
-        state.pruned()
 
 
 def test_basis_state_and_amplitude_lookup():
@@ -96,27 +79,14 @@ def test_basis_state_and_amplitude_lookup():
 
 
 def test_normalized_and_require_normalized():
-    state = PureState.from_terms(1, {(0,): 3.0, (1,): 4.0})
     with pytest.raises(ValueError):
-        state.require_normalized()
-    unit = state.normalized()
+        PureState.from_terms(1, {(0,): 3.0, (1,): 4.0}).require_normalized()
+    unit = PureState.from_terms(1, {(0,): 0.6, (1,): 0.8})
     unit.require_normalized()
     with pytest.raises(TypeError):
         unit.require_normalized(1e-12)  # the tolerance is fixed at STATE_NORM_TOL
-    assert unit.amplitude((0,)) == pytest.approx(0.6)
-    assert unit.amplitude((1,)) == pytest.approx(0.8)
     with pytest.raises(ValueError):
-        PureState.from_terms(1, {}).normalized()
-
-
-def test_inner_product_properties():
-    rng = np.random.default_rng(7)
-    a = random_state(3, 2, rng)
-    b = random_state(3, 2, rng)
-    assert a.inner(a) == pytest.approx(1.0)
-    assert a.inner(b) == pytest.approx(b.inner(a).conjugate())
-    with pytest.raises(ValueError):
-        a.inner(random_state(2, 2, rng))
+        PureState.from_terms(1, {}).require_normalized()
 
 
 def test_tensor_concatenates_modes_and_multiplies_amplitudes():
@@ -179,7 +149,7 @@ def test_measurement_validates_inputs():
     with pytest.raises(ValueError):
         measure_photon_counts(state, [2])
     with pytest.raises(ValueError):
-        measure_photon_counts(state.scaled(2.0), [0])
+        measure_photon_counts(PureState(2, {(1, 0): 2.0}), [0])
 
 
 def test_measuring_all_modes_leaves_trivial_conditional():

@@ -15,10 +15,9 @@ from klm_teleport import (
     ModeUnitary,
     PureState,
     apply,
-    build_polarized_resource,
     build_resource_state,
+    dual_rail,
     embed,
-    enumerate_basis,
     fourier_unitary,
     measure_photon_counts,
     permanent,
@@ -28,6 +27,7 @@ from klm_teleport import (
 )
 
 from helpers import (
+    enumerate_basis,
     naive_permanent,
     random_coefficients,
     random_qubit,
@@ -227,7 +227,8 @@ def test_apply_matches_transition_amplitudes_on_an_embedded_block():
         for k, count in zip(spectators, rng.multinomial(2, [1 / 3] * 3)):
             occ[k] = int(count)
         terms[tuple(occ)] = complex(rng.standard_normal(), rng.standard_normal())
-    state = PureState.from_terms(7, terms).normalized()
+    nrm = math.sqrt(math.fsum(abs(a) ** 2 for a in terms.values()))
+    state = PureState(7, {occ: a / nrm for occ, a in terms.items()})
     _assert_matches(apply(u, state), _elementwise(u, state, block))
 
 
@@ -252,7 +253,7 @@ def _polarization_oracle_input(n, rng):
     qubit = random_qubit(rng)
     state = tensor(
         PureState.from_terms(2, {(1, 0): qubit.alpha, (0, 1): qubit.beta}),
-        build_polarized_resource(random_coefficients(n, rng)).state,
+        dual_rail(build_resource_state(random_coefficients(n, rng))),
     )
     block = tuple(slot_index(rail, HORIZONTAL) for rail in range(n + 1)) + tuple(
         slot_index(rail, VERTICAL) for rail in range(n + 1)
@@ -280,7 +281,7 @@ def test_apply_requires_matching_dimension_and_normalization():
     with pytest.raises(ValueError):
         apply(u, random_state(2, 1, rng))
     with pytest.raises(ValueError):
-        apply(u, random_state(3, 1, rng).scaled(0.5))
+        apply(u, PureState(3, {(1, 0, 0): 0.5}))
     # The constructor refuses a NaN amplitude, so one put in afterwards stands
     # for a state that skipped the check; its NaN norm must still be refused.
     nan_norm = PureState(2, {(1, 0): 0.6, (0, 1): 0.8})

@@ -20,14 +20,13 @@ from klm_teleport import (
     certify_klm_bound,
     maximize,
     objective_avg_fidelity,
-    objective_success,
     optimal_avg_fidelity,
     optimal_fidelity_profile,
 )
 from klm_teleport.optimize import _sample_fidelities, success_dual_certificate
-from klm_teleport.teleport import MAXIMIZE_LIMIT
+from klm_teleport.teleport import RESOURCE_LIMIT
 
-from helpers import random_qubit, random_strict_weights
+from helpers import random_point, random_qubit, random_strict_weights
 
 
 def test_simplex_point_validation():
@@ -56,24 +55,15 @@ def test_simplex_point_constructors():
         SimplexPoint.from_unnormalized([1.0, -0.5])
 
     rng = np.random.default_rng(3)
-    random_point = SimplexPoint.random(4, rng)
-    assert random_point.n == 4
-    assert math.fsum(random_point.weights) == pytest.approx(1.0, abs=1e-12)
+    drawn = random_point(4, rng)
+    assert drawn.n == 4
+    assert math.fsum(drawn.weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simplex_point_to_coefficients_roundtrip():
     point = SimplexPoint((0.5, 0.3, 0.2))
     rc = point.to_coefficients()
     np.testing.assert_allclose(rc.weights(), point.weights, atol=1e-15)
-
-
-def test_objective_success_is_pairwise_minima():
-    point = SimplexPoint((0.1, 0.3, 0.05, 0.35, 0.2))
-    assert objective_success(point) == adjacent_minima_sum(point.weights)
-    for n in range(1, 7):
-        assert objective_success(SimplexPoint.uniform(n)) == pytest.approx(
-            n / (n + 1), abs=1e-12
-        )
 
 
 def test_avg_fidelity_closed_form_frozen():
@@ -97,7 +87,7 @@ def test_per_qubit_fidelity_routes_agree():
     rng = np.random.default_rng(67)
     for _ in range(20):
         n = int(rng.integers(1, 6))
-        point = SimplexPoint.random(n, rng)
+        point = random_point(n, rng)
         qubit = random_qubit(rng)
         a = np.array([abs(qubit.alpha) ** 2])
         for convention in FailureConvention:
@@ -174,7 +164,7 @@ def test_random_points_never_beat_the_optimum():
                     "avg_fidelity", n, convention=convention, mc_samples=10_000
                 ).best_value
             for _ in range(1000):
-                point = SimplexPoint.random(n, rng)
+                point = random_point(n, rng)
                 assert avg_fidelity_closed_form(point, convention) <= best + 1e-12
 
 
@@ -191,7 +181,7 @@ def test_maximize_success_hits_uniform():
 
 
 def test_success_dual_certificate_is_exact():
-    for n in [*range(1, 41), MAXIMIZE_LIMIT]:
+    for n in [*range(1, 41), RESOURCE_LIMIT]:
         multipliers, coefficients = success_dual_certificate(n)
         assert multipliers == [Fraction(n + 1 - m, n + 1) for m in range(1, n + 1)]
         assert all(0 < lam < 1 for lam in multipliers)
@@ -292,7 +282,7 @@ def test_maximize_rejects_bad_arguments():
         maximize("avg_fidelity", 2, mc_samples=1)
     for objective in ("success", "avg_fidelity"):
         with pytest.raises(ValueError, match="at most"):
-            maximize(objective, MAXIMIZE_LIMIT + 1)
+            maximize(objective, RESOURCE_LIMIT + 1)
 
 
 def test_success_search_calls_minimize_through_the_module_global(monkeypatch):
@@ -354,7 +344,7 @@ def test_certificate_validates_random_strict_points():
             assert certificate.peak_weight > 1.0 / (n + 1)
             assert certificate.gap > 0.0
             assert certificate.success_probability == pytest.approx(
-                objective_success(point), abs=1e-15
+                adjacent_minima_sum(point.weights), abs=1e-15
             )
 
 

@@ -21,16 +21,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from klm_teleport import QubitAmplitudes, ResourceCoefficients
+from klm_teleport import QubitAmplitudes
 from klm_teleport.polarization import run_oracle_polarization
-from klm_teleport.teleport import run_oracle
+from klm_teleport.teleport import normalize_coefficients, run_oracle
 
 from helpers import random_coefficients, random_qubit
 
 GOLDEN = Path(__file__).with_name("golden_oracle.json")
 
 #: A resource with c_2 = 0: outcomes m = 2 and 3 take the single-branch path.
-GAPPED = ResourceCoefficients.normalized([0.5, 0.5, 0.0, 0.5, 0.5])
+GAPPED = normalize_coefficients([complex(v) for v in (0.5, 0.5, 0.0, 0.5, 0.5)], renormalize=True)
 
 
 def _seeded(n: int, seed: int):

@@ -1,4 +1,4 @@
-"""Polarization encoding, the dual-rail optics toolbox, and the correction circuit."""
+"""Polarization encoding, the slot matrices of the optical devices, and the correction circuit."""
 
 import cmath
 import math
@@ -16,19 +16,18 @@ from klm_teleport import (
     QubitAmplitudes,
     ResourceCoefficients,
     RotatedPBS,
-    build_polarized_resource,
+    build_resource_state,
     correction_circuit,
     dual_rail,
     kraus_for,
     oracle_deviation,
     p_success_given_m,
-    phase_shift,
-    rotate_polarization,
     run_analytic,
     run_oracle_polarization,
     slot_index,
     teleported_state,
 )
+from klm_teleport.teleport import normalize_coefficients
 
 from helpers import random_coefficients, random_qubit
 
@@ -39,6 +38,15 @@ WORKED = ResourceCoefficients.from_weights([0.5, 0.3, 0.2])
 def balanced():
     r = 1 / math.sqrt(2)
     return QubitAmplitudes(r, r)
+
+
+def _through(polarized, device, *args):
+    """Evolve ``polarized`` by ``device(identity, *args)``, a slot matrix the circuit composes."""
+    # Overflowing or non-finite entries are for ModeUnitary to refuse, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = device(np.eye(2 * polarized.spatial_modes, dtype=complex), *args)
+        unitary = optics.ModeUnitary(matrix)
+    return PolarizedPhotonState(polarized.spatial_modes, optics.apply(unitary, polarized.state))
 
 
 def test_slot_index_layout():
@@ -55,7 +63,7 @@ def test_single_photon_state_accessors():
     assert state.single_photon_amplitude(0, HORIZONTAL) == pytest.approx(0.6)
     assert state.single_photon_amplitude(1, VERTICAL) == pytest.approx(0.8)
     assert state.mode_amplitudes(0) == (0.6, 0.0)
-    assert state.norm() == pytest.approx(1.0)
+    assert state.state.norm() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         PolarizedPhotonState.single_photon(2, {2: (1.0, 0.0)})
 
@@ -70,12 +78,12 @@ def test_polarized_state_demands_two_slots_per_rail():
 def test_pbs_at_zero_routes_h_and_v():
     pbs = RotatedPBS(theta=0.0, input_mode=0, reflect_mode=1, transmit_mode=2)
     photon = PolarizedPhotonState.single_photon(3, {0: (0.6, 0.8j)})
-    out = pbs.apply(photon)
+    out = _through(photon, pbs._compose)
     assert out.single_photon_amplitude(1, HORIZONTAL) == pytest.approx(0.6)
     assert out.single_photon_amplitude(2, VERTICAL) == pytest.approx(0.8j)
     assert out.single_photon_amplitude(1, VERTICAL) == 0j
     assert out.single_photon_amplitude(2, HORIZONTAL) == 0j
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    assert out.state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pbs_output_polarizations_are_orthonormal():
@@ -100,12 +108,12 @@ def test_rotated_pbs_splits_by_projection():
         ((0.0, 1.0), (-_SIN * _COS, _SIN**2), (_COS * _SIN, _COS**2)),
     ]
     for photon, reflected, transmitted in cases:
-        out = pbs.apply(PolarizedPhotonState.single_photon(3, {0: photon}))
+        out = _through(PolarizedPhotonState.single_photon(3, {0: photon}), pbs._compose)
         # The photon projects onto the two output polarizations.
         assert out.mode_amplitudes(0) == (0j, 0j)
         assert out.mode_amplitudes(1) == pytest.approx(reflected, abs=1e-15)
         assert out.mode_amplitudes(2) == pytest.approx(transmitted, abs=1e-15)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert out.state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pbs_rejects_bad_configurations():
@@ -113,32 +121,6 @@ def test_pbs_rejects_bad_configurations():
         RotatedPBS(theta=0.0, input_mode=0, reflect_mode=0, transmit_mode=1)
     with pytest.raises(ValueError):
         RotatedPBS(theta=0.0, input_mode=-1, reflect_mode=1, transmit_mode=2)
-
-    pbs = RotatedPBS(theta=0.0, input_mode=0, reflect_mode=1, transmit_mode=2)
-    too_small = PolarizedPhotonState.single_photon(2, {0: (1.0, 0.0)})
-    with pytest.raises(ValueError):
-        pbs.apply(too_small)
-
-    from klm_teleport import PureState
-
-    occupied_output = PolarizedPhotonState(3, PureState.basis_state((1, 0, 1, 0, 0, 0)))
-    with pytest.raises(ValueError, match="empty"):
-        pbs.apply(occupied_output)
-
-    two_photons = PolarizedPhotonState(3, PureState.basis_state((1, 1, 0, 0, 0, 0)))
-    with pytest.raises(ValueError, match="one photon"):
-        pbs.apply(two_photons)
-    with pytest.raises(ValueError, match="one photon"):
-        rotate_polarization(two_photons, 0, 0.3)
-
-
-@pytest.mark.parametrize("mode", [-1, 2])
-def test_single_rail_devices_refuse_missing_rails(mode):
-    state = PolarizedPhotonState.single_photon(2, {0: (0.6, 0.0), 1: (0.0, 0.8)})
-    with pytest.raises(ValueError, match="exceed"):
-        phase_shift(state, mode, 1j)
-    with pytest.raises(ValueError, match="exceed"):
-        rotate_polarization(state, mode, 0.3)
 
 
 @pytest.mark.parametrize("mode", [-1, 1])
@@ -153,52 +135,51 @@ def test_amplitude_accessors_refuse_missing_rails(mode):
 
 def test_phase_shift_targets_one_rail():
     state = PolarizedPhotonState.single_photon(2, {0: (0.6, 0.0), 1: (0.0, 0.8)})
-    shifted = phase_shift(state, 1, 1j)
+    shifted = _through(state, polarization._phase_plate, 1, 1j)
     assert shifted.single_photon_amplitude(0, HORIZONTAL) == pytest.approx(0.6)
     assert shifted.single_photon_amplitude(1, VERTICAL) == pytest.approx(0.8j)
-    with pytest.raises(ValueError):
-        phase_shift(state, 0, 0.5)
+    with pytest.raises(ValueError, match="not unitary"):
+        _through(state, polarization._phase_plate, 0, 0.5)
 
 
 def test_phase_shift_judges_the_quantity_the_plate_unitary_checks():
     # |phase|^2 - 1, not |phase| - 1, is what the plate's ModeUnitary measures.
     state = PolarizedPhotonState.single_photon(1, {0: (0.6, 0.8)})
     for bad in (1 + 8e-13, 1e200):
-        with pytest.raises(ValueError, match="phase factor"):
-            phase_shift(state, 0, bad)
-    shifted = phase_shift(state, 0, 1 + 4e-13)
+        with pytest.raises(ValueError, match="not unitary"):
+            _through(state, polarization._phase_plate, 0, bad)
+    shifted = _through(state, polarization._phase_plate, 0, 1 + 4e-13)
     assert shifted.mode_amplitudes(0) == pytest.approx((0.6, 0.8), abs=1e-12)
 
 
 def test_rotate_polarization_matrix_action():
     theta = 0.4
     h_photon = PolarizedPhotonState.single_photon(1, {0: (1.0, 0.0)})
-    rotated = rotate_polarization(h_photon, 0, theta)
+    rotated = _through(h_photon, polarization._rotator, 0, theta)
     assert rotated.mode_amplitudes(0) == pytest.approx((math.cos(theta), math.sin(theta)))
     # The splitter's reflected polarization rotates back onto pure H.
     tilted = PolarizedPhotonState.single_photon(1, {0: (math.cos(theta), -math.sin(theta))})
-    assert rotate_polarization(tilted, 0, theta).mode_amplitudes(0) == pytest.approx((1.0, 0.0))
+    restored = _through(tilted, polarization._rotator, 0, theta)
+    assert restored.mode_amplitudes(0) == pytest.approx((1.0, 0.0))
 
 
 def test_polarized_resource_structure():
     rc = ResourceCoefficients.from_weights([0.25, 0.75])
-    resource = build_polarized_resource(rc)
-    assert resource.spatial_modes == 2
+    resource = dual_rail(build_resource_state(rc))
+    assert resource.mode_count == 4
     # Term 0: front rail H, back rail V.  Term 1: front rail V, back rail H.
-    assert resource.state.amplitude((1, 0, 0, 1)) == pytest.approx(0.5)
-    assert resource.state.amplitude((0, 1, 1, 0)) == pytest.approx(math.sqrt(0.75))
+    assert resource.amplitude((1, 0, 0, 1)) == pytest.approx(0.5)
+    assert resource.amplitude((0, 1, 1, 0)) == pytest.approx(math.sqrt(0.75))
     assert resource.norm() == pytest.approx(1.0, abs=1e-12)
 
     rc2 = ResourceCoefficients.uniform(2)
-    resource2 = build_polarized_resource(rc2)
+    resource2 = dual_rail(build_resource_state(rc2))
     # Every term puts exactly one photon on each of the 2n rails.
-    for occ in resource2.state.amplitudes:
+    for occ in resource2.amplitudes:
         assert sum(occ) == 4
         for rail in range(4):
             assert occ[2 * rail] + occ[2 * rail + 1] == 1
-    assert resource2.state.amplitude((0, 1, 1, 0, 1, 0, 0, 1)) == pytest.approx(
-        1 / math.sqrt(3)
-    )
+    assert resource2.amplitude((0, 1, 1, 0, 1, 0, 0, 1)) == pytest.approx(1 / math.sqrt(3))
 
 
 def test_dual_rail_maps_each_mode_to_an_h_v_pair():
@@ -221,11 +202,13 @@ _INF = float("inf")
 @pytest.mark.parametrize(
     "operation",
     [
-        pytest.param(lambda s: phase_shift(s, 1, _NAN), id="phase-nan"),
-        pytest.param(lambda s: phase_shift(s, 1, complex(_NAN, 0.0)), id="phase-complex-nan"),
-        pytest.param(lambda s: phase_shift(s, 1, _INF), id="phase-inf"),
-        pytest.param(lambda s: rotate_polarization(s, 0, _NAN), id="rotate-nan"),
-        pytest.param(lambda s: rotate_polarization(s, 0, _INF), id="rotate-inf"),
+        pytest.param(lambda s: _through(s, polarization._phase_plate, 1, _NAN), id="phase-nan"),
+        pytest.param(
+            lambda s: _through(s, polarization._phase_plate, 1, complex(_NAN, 0.0)),
+            id="phase-complex-nan",
+        ),
+        pytest.param(lambda s: _through(s, polarization._phase_plate, 1, _INF), id="phase-inf"),
+        pytest.param(lambda s: _through(s, polarization._rotator, 0, _NAN), id="rotate-nan"),
         pytest.param(lambda s: RotatedPBS(_NAN, 0, 2, 3), id="pbs-nan"),
         pytest.param(lambda s: RotatedPBS(_INF, 0, 2, 3), id="pbs-inf"),
         pytest.param(lambda s: RotatedPBS(-_INF, 0, 2, 3), id="pbs-minus-inf"),
@@ -273,7 +256,7 @@ def test_teleported_state_frozen():
     with pytest.raises(ValueError, match="never occurs"):
         teleported_state(dead, balanced(), 1)
     # p(m=1) = 1e-320 is subnormal; the state is still normalized.
-    tiny = ResourceCoefficients.normalized([1e-160, 1e-160, 1.0])
+    tiny = normalize_coefficients([1e-160, 1e-160, 1.0], renormalize=True)
     amp_h, amp_v = teleported_state(tiny, balanced(), 1).mode_amplitudes(0)
     assert (amp_h, amp_v) == pytest.approx((1 / math.sqrt(2), 1 / math.sqrt(2)), abs=1e-15)
 
@@ -371,10 +354,12 @@ def _check_circuit_matches_kraus_route(n):
             result = correction_circuit(m, rc, teleported_state(rc, q, m))
             assert result.p_success == pytest.approx(p_success_given_m(m, rc, q), abs=1e-10)
             pair = kraus_for(m, rc)
-            conditional = outcomes[m].conditional_qubit.as_array()
-            survived = pair.success @ conditional
+            conditional = outcomes[m].conditional_qubit
+            survived = pair.success @ np.array([conditional.alpha, conditional.beta])
             assert np.vdot(survived, survived).real == pytest.approx(result.p_success, abs=1e-12)
             recovered = QubitAmplitudes.from_unnormalized(*survived)
+            # The success element restores the input, and the circuit agrees.
+            assert recovered.fidelity_with(q) == pytest.approx(1.0, abs=1e-12)
             assert recovered.fidelity_with(result.recovered) == pytest.approx(1.0, abs=1e-10)
 
 
