@@ -39,12 +39,7 @@ from .correction import (
 )
 from .fock import QubitAmplitudes
 from .optics import MAX_PHOTONS
-from .optimize import (
-    FailureConvention,
-    SimplexPoint,
-    avg_fidelity_closed_form,
-    maximize,
-)
+from .optimize import FailureConvention, maximize
 from .teleport import (
     COEFF_NORM_TOL,
     ORACLE_LIMIT,
@@ -81,10 +76,10 @@ def dump_json(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, complex):
@@ -115,7 +110,7 @@ def _complex_pair(value: complex) -> list[float]:
 
 
 def parse_qubit(text: str | None) -> QubitAmplitudes:
-    """Parse ``RE,IM+RE,IM`` (normalized if slightly off) or ``random:SEED``.
+    """Parse ``RE,IM+RE,IM`` (any finite nonzero pair, normalized) or ``random:SEED``.
 
     The default input is the balanced superposition.  Exponent notation with
     an explicit plus sign is not supported, since '+' separates the two
@@ -158,72 +153,69 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
+def _check_size(name: str, n: int) -> None:
+    """Refuse a resource size outside 1..RESOURCE_LIMIT before any work."""
+    if not 1 <= n <= RESOURCE_LIMIT:
+        raise ConfigError(f"{name} must be between 1 and {RESOURCE_LIMIT}, got {n}")
+
+
+def _parse_inline(body: str, *, squared: bool, renormalize: bool) -> ResourceCoefficients:
+    """Parse ``inline:`` values: amplitudes, or squared moduli with ``squared``.
+
+    Both are judged by their norm against ``COEFF_NORM_TOL``.  Squared moduli
+    are divided by their sum before the square root is taken.
+    """
+    entries = body.split(",")
+    # Counted before any entry is converted.
+    _check_size("the inline resource size n", len(entries) - 1)
+    try:
+        values = [float(v) for v in entries]
+    except ValueError:
+        raise ConfigError(f"bad inline coefficient list {body!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"inline coefficients must be finite, got {body!r}")
+    if not squared:
+        try:
+            return normalize_coefficients(values, renormalize=renormalize)
+        except ValueError as exc:
+            raise ConfigError(f"bad inline coefficients {body!r}: {exc}") from None
+    if any(v < 0 for v in values):
+        raise ConfigError("squared moduli cannot be negative")
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        raise ConfigError("squared moduli overflow their sum") from None
+    if total == 0.0:
+        raise ConfigError("squared moduli cannot all be zero")
+    if abs(math.sqrt(total) - 1.0) > COEFF_NORM_TOL and not renormalize:
+        raise ConfigError(f"squared moduli sum to {total!r}; pass --renormalize to accept")
+    return ResourceCoefficients(tuple(math.sqrt(v / total) for v in values))
+
+
 def parse_coefficients(args: argparse.Namespace) -> ResourceCoefficients:
     """Resolve --coeffs/--n/--squared/--renormalize into a coefficient vector."""
     source = args.coeffs
+    if args.squared and not source.startswith("inline:"):
+        raise ConfigError("--squared applies to inline coefficients only")
     if source == "uniform":
         if args.n is None:
             raise ConfigError("--coeffs uniform requires --n")
-        if args.squared:
-            raise ConfigError("--squared applies to inline coefficients only")
-        if args.n < 1:
-            raise ConfigError(f"--n must be at least 1, got {args.n}")
-        if args.n > RESOURCE_LIMIT:
-            raise ConfigError(f"--n must be at most {RESOURCE_LIMIT}, got {args.n}")
+        _check_size("--n", args.n)
         return ResourceCoefficients.uniform(args.n)
     if source.startswith("inline:"):
-        body = source[len("inline:") :]
-        entries = body.split(",")
-        if len(entries) > RESOURCE_LIMIT + 1:
-            raise ConfigError(
-                f"inline coefficients allow n <= {RESOURCE_LIMIT}, "
-                f"got {len(entries)} entries"
-            )
+        rc = _parse_inline(
+            source[len("inline:") :], squared=args.squared, renormalize=args.renormalize
+        )
+    else:
+        source = source.removeprefix("file:")
         try:
-            values = [float(v) for v in entries]
-        except ValueError:
-            raise ConfigError(f"bad inline coefficient list {body!r}") from None
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"inline coefficients must be finite, got {body!r}")
-        if len(values) < 2:
-            raise ConfigError("inline coefficients need at least two entries")
-        if args.n is not None and args.n + 1 != len(values):
-            raise ConfigError(
-                f"--n {args.n} disagrees with {len(values)} inline coefficients"
-            )
-        if args.squared:
-            if any(v < 0 for v in values):
-                raise ConfigError("squared moduli cannot be negative")
-            try:
-                total = math.fsum(values)
-            except OverflowError:
-                raise ConfigError("squared moduli overflow their sum") from None
-            if total == 0.0:
-                raise ConfigError("squared moduli cannot all be zero")
-            if abs(total - 1.0) > COEFF_NORM_TOL and not args.renormalize:
-                raise ConfigError(
-                    f"squared moduli sum to {total!r}; pass --renormalize to accept"
-                )
-            return ResourceCoefficients(
-                tuple(math.sqrt(v / total) for v in values)
-            )
-        try:
-            return normalize_coefficients(values, renormalize=args.renormalize)
+            rc = load_coefficients(source, renormalize=args.renormalize)
+        except OSError as exc:
+            raise ConfigError(f"cannot read coefficient file {source!r}: {exc}") from None
         except ValueError as exc:
-            raise ConfigError(f"bad inline coefficients {body!r}: {exc}") from None
-    if args.squared:
-        raise ConfigError("--squared applies to inline coefficients only")
-    if source.startswith("file:"):
-        source = source[len("file:") :]
-    path = Path(source)
-    try:
-        rc = load_coefficients(path, renormalize=args.renormalize)
-    except OSError as exc:
-        raise ConfigError(f"cannot read coefficient file {source!r}: {exc}") from None
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"bad coefficient file {source!r}: {exc}") from None
+            raise ConfigError(f"bad coefficient file {source!r}: {exc}") from None
     if args.n is not None and args.n != rc.n:
-        raise ConfigError(f"--n {args.n} disagrees with file resource size {rc.n}")
+        raise ConfigError(f"--n {args.n} disagrees with the resource size {rc.n} of --coeffs")
     return rc
 
 
@@ -241,13 +233,23 @@ def _check_out(out_path: str | None) -> None:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            Path(out_path).write_text(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file {out_path!r}: {exc}") from None
+        return
+    try:
+        Path(out_path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out_path!r}: {exc}") from None
+
+
+def _csv_table(header: str, rows: list[dict]) -> str:
+    """One line per row with the values of the header's keys; None is empty.
+
+    Integers go through the float format too, which prints them exactly.
+    """
+    keys = header.split(",")
+    lines = [header]
+    for row in rows:
+        lines.append(",".join("" if row[k] is None else _format_float(row[k]) for k in keys))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_teleport(args: argparse.Namespace) -> str:
@@ -272,9 +274,7 @@ def cmd_teleport(args: argparse.Namespace) -> str:
     rows = []
     for outcome in outcomes:
         m = outcome.m
-        joint = (
-            min(weights[m - 1], weights[m]) if 1 <= m <= n else 0.0
-        )
+        joint = min(weights[m - 1], weights[m]) if 1 <= m <= n else 0.0
         given = None
         if 1 <= m <= n and outcome.probability > 0:
             given = p_success_given_m(m, rc, qubit)
@@ -291,7 +291,7 @@ def cmd_teleport(args: argparse.Namespace) -> str:
                 "qubit_mode": outcome.qubit_mode,
                 "conditional": conditional,
                 "p_success_given_m": given,
-                "p_success_joint": float(joint),
+                "p_success_joint": joint,
             }
         )
     payload = {
@@ -309,20 +309,13 @@ def cmd_teleport(args: argparse.Namespace) -> str:
             "tolerance": ORACLE_TOL,
         }
     if args.format == "csv":
-        lines = [TELEPORT_CSV_HEADER]
-        for row in rows:
-            given = "" if row["p_success_given_m"] is None else _format_float(row["p_success_given_m"])
-            lines.append(
-                f"{row['m']},{_format_float(row['probability'])},{given},"
-                f"{_format_float(row['p_success_joint'])}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_table(TELEPORT_CSV_HEADER, rows)
     return dump_json(payload) + "\n"
 
 
 def cmd_psuccess(args: argparse.Namespace) -> str:
     rc = parse_coefficients(args)
-    weights = [abs(a) ** 2 for a in rc.amplitudes]
+    weights = rc.weights()
     brute = p_success_total_brute(rc)
     classification = classify_sequence(weights)
     try:
@@ -381,18 +374,14 @@ def cmd_optimize(args: argparse.Namespace) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> str:
     _check_seed(args.seed)
-    if args.n_min < 1:
-        raise ConfigError(f"--n-min must be at least 1, got {args.n_min}")
+    _check_size("--n-min", args.n_min)
+    _check_size("--n-max", args.n_max)
     if args.n_max < args.n_min:
         raise ConfigError(
             f"--n-max ({args.n_max}) must not be below --n-min ({args.n_min})"
         )
-    if args.n_max > RESOURCE_LIMIT:
-        raise ConfigError(f"--n-max must be at most {RESOURCE_LIMIT}, got {args.n_max}")
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        uniform_rc = ResourceCoefficients.uniform(n)
-        uniform_point = SimplexPoint.uniform(n)
         try:
             report = maximize(
                 "avg_fidelity", n, seed=args.seed + n, mc_samples=args.samples
@@ -402,21 +391,14 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         rows.append(
             {
                 "n": n,
-                "p_success_uniform": p_success_total_brute(uniform_rc),
-                "avg_fid_uniform": avg_fidelity_closed_form(uniform_point),
+                "p_success_uniform": p_success_total_brute(ResourceCoefficients.uniform(n)),
+                "avg_fid_uniform": report.certificate["uniform_value"],
                 "avg_fid_optimized": report.best_value,
             }
         )
     if args.format == "json":
         return dump_json({"rows": rows}) + "\n"
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row['n']},{_format_float(row['p_success_uniform'])},"
-            f"{_format_float(row['avg_fid_uniform'])},"
-            f"{_format_float(row['avg_fid_optimized'])}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_table(SWEEP_HEADER, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -103,7 +103,7 @@ def adjacent_minima_sum(weights: Sequence[float]) -> float:
 
 def p_success_total_brute(rc: ResourceCoefficients) -> float:
     """Input-independent joint success probability, summed pair by pair."""
-    return adjacent_minima_sum([abs(a) ** 2 for a in rc.amplitudes])
+    return adjacent_minima_sum(rc.weights())
 
 
 @dataclass(frozen=True)
@@ -156,4 +156,4 @@ def extrema_formula(weights: Sequence[float]) -> float:
 
 def p_success_closed_form(rc: ResourceCoefficients) -> float:
     """Extrema-formula route to the total success probability."""
-    return extrema_formula([abs(a) ** 2 for a in rc.amplitudes])
+    return extrema_formula(rc.weights())

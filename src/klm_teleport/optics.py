@@ -59,8 +59,11 @@ class ModeUnitary:
         dim = mat.shape[0]
         if dim < 1:
             raise ValueError("mode unitary needs at least one mode")
-        if not np.isfinite(mat).all():
-            raise ValueError("mode unitary entries must be finite")
+        # A unitary's entries are finite with modulus at most 1.  Any other is
+        # refused before the Gram product, which it could overflow; NaN fails
+        # the comparison.
+        if not np.abs(mat).max() <= 1.0 + UNITARY_TOL:
+            raise ValueError("matrix is not unitary: entries must be finite with modulus <= 1")
         deviation = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
         if not deviation <= UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")

@@ -34,8 +34,6 @@ from operator import mul
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .fock import (
     NORM_TOL,
     MeasurementOutcome,
@@ -95,9 +93,9 @@ class ResourceCoefficients:
             return self.amplitudes[index]
         return 0j
 
-    def weights(self) -> np.ndarray:
-        """Moduli squared |c_i|^2 as a float vector."""
-        return np.array([abs(a) ** 2 for a in self.amplitudes])
+    def weights(self) -> tuple[float, ...]:
+        """Moduli squared |c_i|^2, the resource's weight vector."""
+        return tuple(abs(a) ** 2 for a in self.amplitudes)
 
     @classmethod
     def uniform(cls, n: int) -> "ResourceCoefficients":
@@ -453,10 +451,8 @@ def load_coefficients(
         raw = json.loads(Path(path).read_text())
     except RecursionError:
         raise ValueError("coefficient file nests too deeply") from None
-    if not isinstance(raw, dict) or "n" in raw and "c" not in raw:
+    if not isinstance(raw, dict) or "n" not in raw or "c" not in raw:
         raise ValueError("coefficient file must be an object with keys 'n' and 'c'")
-    if "n" not in raw or "c" not in raw:
-        raise ValueError("coefficient file must provide both 'n' and 'c'")
     n = raw["n"]
     entries = raw["c"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -483,12 +479,15 @@ def normalize_coefficients(
     *,
     renormalize: bool = False,
 ) -> ResourceCoefficients:
-    """Divide coefficients by their norm, the one rule for all coefficient input.
+    """Divide coefficients by their norm: the rule for inline amplitudes and files.
 
     Deviations from unit norm up to ``COEFF_NORM_TOL`` are corrected silently
     (the exact normalization the type requires); larger deviations are
     rejected unless ``renormalize`` is set.  A zero vector and a squared norm
-    that overflows or falls below a normal float raise ``ValueError``.
+    that overflows or falls below a normal float raise ``ValueError``.  The
+    CLI's ``--squared`` moduli bypass it: they are judged by the same norm
+    tolerance but divided by their sum.  ``ResourceCoefficients.from_weights``
+    bypasses it too and takes weights that already sum to 1.
     """
     try:
         square = math.fsum(abs(v) ** 2 for v in values)

@@ -7,12 +7,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klm_teleport import OracleMismatchError
+from klm_teleport import OracleMismatchError, SimplexPoint, avg_fidelity_closed_form
 from klm_teleport.cli import (
     SWEEP_HEADER,
     ConfigError,
@@ -22,6 +23,10 @@ from klm_teleport.cli import (
     parse_qubit,
 )
 from klm_teleport.teleport import RESOURCE_LIMIT
+
+#: Working directory of the subprocess tests: ``-m`` and ``-c`` put it on
+#: sys.path, so the package imports from a plain checkout as well.
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +180,15 @@ def test_sweep_header_and_uniform_column(capsys):
         assert int(fields[0]) == n
         assert float(fields[1]) == pytest.approx(n / (n + 1), abs=1e-12)
         assert float(fields[3]) >= float(fields[2]) - 1e-9
+        assert float(fields[2]) == avg_fidelity_closed_form(SimplexPoint.uniform(n))
+    # The JSON rows carry the same values, which 17 digits round-trip exactly.
+    code, out, _ = run_cli(
+        capsys, "sweep", "--n-min", "1", "--n-max", "3", "--samples", "20000", "--format", "json"
+    )
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    keys = SWEEP_HEADER.split(",")
+    assert [[row[k] for k in keys] for row in json.loads(out)["rows"]] == rows
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
@@ -197,6 +211,29 @@ def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_failed_out_write_exits_two(tmp_path, capsys, monkeypatch):
+    # Patched, since file modes do not stop a superuser.
+    def refuse(self, text):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(capsys, "psuccess", "--n", "2", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert f"cannot write output file {str(out)!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("excess, code", [(1.5e-9, 0), (3e-9, 2)])
+def test_squared_and_amplitude_input_share_one_norm_rule(capsys, excess, code):
+    # COEFF_NORM_TOL = 1e-9 bounds |norm - 1|, so squared moduli may sum to 1 + 2e-9.
+    weights = (0.5, 0.5 + excess)
+    squared = "inline:" + ",".join(map(repr, weights))
+    amplitudes = "inline:" + ",".join(repr(math.sqrt(w)) for w in weights)
+    for extra in (["--coeffs", squared, "--squared"], ["--coeffs", amplitudes]):
+        assert run_cli(capsys, "psuccess", *extra)[0] == code, extra
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [
@@ -211,6 +248,7 @@ def test_module_entry_point_runs():
         ],
         capture_output=True,
         text=True,
+        cwd=SRC,
     )
     assert result.returncode == 0
     payload = json.loads(result.stdout)
@@ -222,7 +260,7 @@ def test_module_entry_point_runs():
     [
         ["teleport", "--coeffs", "uniform"],  # uniform needs --n
         ["teleport", "--n", "0", "--coeffs", "uniform"],
-        ["teleport", "--n", "2", "--coeffs", "inline:0.5,0.5"],  # length mismatch
+        ["teleport", "--n", "2", "--coeffs", "inline:0.5,0.5"],  # length mismatch, off-norm
         ["teleport", "--n", "1", "--coeffs", "inline:0.5,0.3"],  # not normalized
         ["teleport", "--n", "1", "--coeffs", "uniform", "--squared"],
         ["teleport", "--n", "1", "--coeffs", "uniform", "--qubit", "0,0+0,0"],
@@ -263,6 +301,11 @@ def test_module_entry_point_runs():
             "--coeffs",
             "inline:" + ",".join(["1"] * (RESOURCE_LIMIT + 2)),
         ],
+        ["teleport", "--n", "2", "--coeffs", "inline:0.6,0.8"],  # length mismatch
+        ["teleport", "--coeffs", "inline:a,b"],
+        ["teleport", "--coeffs", "inline:-0.5,1.5", "--squared"],
+        ["teleport", "--coeffs", "inline:0,0", "--squared", "--renormalize"],
+        ["teleport", "--coeffs", "inline:0.5,0.6", "--squared"],  # not normalized
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -300,7 +343,7 @@ run("optimize", "--objective", "success", "--n", "2")
 assert "scipy.optimize" in sys.modules
 """
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=SRC
     )
     assert result.returncode == 0, result.stderr
 
@@ -656,6 +699,8 @@ def test_dump_json_rejects_hostile_values():
         dump_json({"z": float("nan")})
     with pytest.raises(TypeError):
         dump_json({"z": object()})
+    with pytest.raises(TypeError, match="keys must be strings"):
+        dump_json({1: 2})
 
 
 def test_coefficient_file_input(tmp_path, capsys):
@@ -667,6 +712,10 @@ def test_coefficient_file_input(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["n"] == 1
     assert payload["p_success_total"] == pytest.approx(0.5, abs=1e-12)
+    for extra, message in (["--squared"], "--squared applies"), (["--n", "2"], "disagrees"):
+        code, out, err = run_cli(capsys, "teleport", "--coeffs", f"file:{path}", *extra)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 def test_coefficient_file_past_the_resource_limit_is_refused_before_its_entries(tmp_path, capsys):

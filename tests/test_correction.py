@@ -39,6 +39,8 @@ def test_kraus_pair_demands_completeness():
     with pytest.raises(ValueError):
         KrausPair(good, bad, 1)
     KrausPair(good, np.diag([0.0, math.sqrt(0.75)]).astype(complex), 1)
+    with pytest.raises(ValueError, match="2x2"):
+        KrausPair(np.eye(3), np.zeros((3, 3)), 1)
 
 
 def test_kraus_frozen_values():
@@ -128,6 +130,9 @@ def test_classify_sequence_frozen_cases():
     assert cls.maxima == (0, 3)
     assert cls.interior_minima == (1,)
     assert cls.strict
+
+    with pytest.raises(ValueError, match="at least two"):
+        classify_sequence((1.0,))
 
 
 def test_classify_sequence_flags_plateaus():

@@ -152,6 +152,14 @@ def test_measurement_validates_inputs():
         measure_photon_counts(PureState(2, {(1, 0): 2.0}), [0])
 
 
+def test_measurement_omits_patterns_below_outcome_eps():
+    # Pattern (0,) has probability 1e-16, below OUTCOME_EPS = 1e-15.
+    state = PureState(2, {(1, 0): math.sqrt(1 - 1e-16), (0, 1): 1e-8})
+    outcomes = measure_photon_counts(state, [0])
+    assert [o.pattern for o in outcomes] == [(1,)]
+    assert outcomes[0].probability == pytest.approx(1.0, abs=1e-15)
+
+
 def test_measuring_all_modes_leaves_trivial_conditional():
     state = PureState.from_terms(
         2, {(1, 0): 1 / math.sqrt(2), (0, 1): 1j / math.sqrt(2)}

@@ -6,9 +6,11 @@ an imported name that the module never reads.  ``__init__.py`` re-exports,
 exempt.  It also fails on a private (``_name``, not dunder) module-level
 function or class, or a method of a module-level class, that no module of
 the package reads as a name or an attribute.  A public name, one listed in
-``__all__`` or a public module-level function or class, must be read by a
-module other than ``__init__.py``, or be allowed in
-``UNREAD_PUBLIC_ALLOWED`` with the reason it stays.
+``__all__``, a public module-level function or class, or a public method,
+classmethod or property of a module-level class, must be read by a module
+other than ``__init__.py``, or be allowed in ``UNREAD_PUBLIC_ALLOWED`` with
+the reason it stays.  Methods are listed as ``Class.method`` and count as
+read when any module reads an attribute of that name.
 """
 
 import ast
@@ -31,6 +33,7 @@ UNREAD_PUBLIC_ALLOWED = {
     "run_oracle_polarization": "polarization API, benchmark `polarization` workload",
     "teleported_state": "polarization API, benchmark `polarization` workload",
     "correction_circuit": "polarization API, benchmark `polarization` workload",
+    "PolarizedPhotonState.mode_amplitudes": "benchmark `polarization` workload",
 }
 
 
@@ -154,22 +157,36 @@ def _exported_names(tree: ast.Module) -> set[str]:
     return set()
 
 
+def _public_definitions(tree: ast.Module):
+    """(listed name, read name) of each public module-level function and class,
+    and of each public method, classmethod and property of a module-level class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name
+        members = node.body if isinstance(node, ast.ClassDef) else ()
+        for member in members:
+            if isinstance(member, functions) and not member.name.startswith("_"):
+                yield f"{node.name}.{member.name}", member.name
+
+
 def _unread_public_names(trees: dict[str, ast.Module]) -> set[str]:
-    """``__all__`` names and public module-level functions and classes no module reads.
+    """``__all__`` names and public definitions (see above) that no module reads.
 
     Reads in ``__init__.py`` do not count: its imports and ``__all__`` only
     re-export.
     """
     modules = [tree for name, tree in trees.items() if name != "__init__.py"]
-    public = _exported_names(trees["__init__.py"]) if "__init__.py" in trees else set()
-    for tree in modules:
-        public |= {
-            node.name
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-        }
-    return public - _reads(modules)
+    read = _reads(modules)
+    exported = _exported_names(trees["__init__.py"]) if "__init__.py" in trees else set()
+    return (exported - read) | {
+        listed
+        for tree in modules
+        for listed, name in _public_definitions(tree)
+        if name not in read
+    }
 
 
 def test_every_public_name_is_read_or_allowed():
@@ -200,8 +217,26 @@ def test_checker_sees_unread_public_names():
             "def _private(): used()\n"
             "class Box:\n"
             "    def method(self): pass\n"
+            "    def read_method(self): pass\n"
+            "    @classmethod\n"
+            "    def build(cls): return cls()\n"
+            "    @property\n"
+            "    def size(self): return 0\n"
+            "    def _helper(self): pass\n"
+            "    def __len__(self): return 0\n"
+            "class _Hidden:\n"
+            "    def shown(self): pass\n"
             "box: 'Box'\n"
         ),
-        "n.py": ast.parse("from . import m\nm.attribute_used()\n"),
+        "n.py": ast.parse(
+            "from . import m\nm.attribute_used()\nm.Box.build().read_method()\n"
+        ),
     }
-    assert _unread_public_names(trees) == {"unused", "exported", "read_by_init"}
+    assert _unread_public_names(trees) == {
+        "unused",
+        "exported",
+        "read_by_init",
+        "Box.method",
+        "Box.size",
+        "_Hidden.shown",
+    }

@@ -60,10 +60,13 @@ def test_mode_unitary_rejects_bad_matrices():
         # NaN fails every comparison, so a deviation test written as "> tol" passes it.
         [[math.nan, 0.0], [0.0, 1.0]],
         [[math.inf, 0.0], [0.0, 1.0]],
+        # Its Gram product would overflow.
+        [[1e200, 0.0], [0.0, 1.0]],
+        np.zeros((0, 0)),
     ]
     for matrix in bad:
-        # Non-finite entries are refused before the unitarity product, so no
-        # numpy warning about inf * 0 escapes.
+        # Non-finite and oversized entries are refused before the unitarity
+        # product, so no numpy warning about inf * 0 or an overflow escapes.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
@@ -88,6 +91,8 @@ def test_embed_validates_modes():
         embed(two_point, (0, 0), 3)
     with pytest.raises(ValueError):
         embed(two_point, (0, 3), 3)
+    with pytest.raises(ValueError, match="2-mode unitary"):
+        embed(two_point, (0,), 3)
 
 
 def test_permanent_small_cases():

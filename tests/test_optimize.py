@@ -53,6 +53,8 @@ def test_simplex_point_constructors():
         SimplexPoint.from_unnormalized([0.0, 0.0])
     with pytest.raises(ValueError):
         SimplexPoint.from_unnormalized([1.0, -0.5])
+    with pytest.raises(ValueError, match="at least 1"):
+        SimplexPoint.uniform(0)
 
     rng = np.random.default_rng(3)
     drawn = random_point(4, rng)
@@ -112,6 +114,8 @@ def test_objective_avg_fidelity_matches_closed_form():
     again = objective_avg_fidelity(point, samples=200_000, seed=11)
     assert again.estimate == estimate.estimate
     assert again.std_error == estimate.std_error
+    with pytest.raises(ValueError, match="two samples"):
+        objective_avg_fidelity(point, samples=1, seed=11)
 
 
 def test_objective_avg_fidelity_zero_fidelity_convention():
@@ -149,6 +153,9 @@ def test_optimal_profile_attains_the_closed_form_optimum():
         assert optimal_avg_fidelity(n) == pytest.approx(
             (2.0 + math.cos(math.pi / (n + 2))) / 3.0, abs=1e-15
         )
+    for sized in (optimal_fidelity_profile, optimal_avg_fidelity):
+        with pytest.raises(ValueError, match="at least 1"):
+            sized(0)
 
 
 def test_random_points_never_beat_the_optimum():
@@ -189,6 +196,8 @@ def test_success_dual_certificate_is_exact():
     report = maximize("success", 3, restarts=1)
     assert report.certificate["dual_multipliers"] == ["3/4", "1/2", "1/4"]
     assert report.certificate["dual_coefficients"] == ["3/4"] * 4
+    with pytest.raises(ValueError, match="at least 1"):
+        success_dual_certificate(0)
 
 
 def test_search_beating_the_certified_optimum_is_a_mismatch(monkeypatch):

@@ -42,10 +42,10 @@ def balanced():
 
 def _through(polarized, device, *args):
     """Evolve ``polarized`` by ``device(identity, *args)``, a slot matrix the circuit composes."""
-    # Overflowing or non-finite entries are for ModeUnitary to refuse, without a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # An infinite phase times a zero entry warns; ModeUnitary refuses the result.
+    with np.errstate(invalid="ignore"):
         matrix = device(np.eye(2 * polarized.spatial_modes, dtype=complex), *args)
-        unitary = optics.ModeUnitary(matrix)
+    unitary = optics.ModeUnitary(matrix)
     return PolarizedPhotonState(polarized.spatial_modes, optics.apply(unitary, polarized.state))
 
 
@@ -320,6 +320,10 @@ def test_correction_circuit_validation():
     wide = PolarizedPhotonState.single_photon(2, {0: (1.0, 0.0)})
     with pytest.raises(ValueError, match="single rail"):
         correction_circuit(1, WORKED, wide)
+    # c_2 = c_3 = 0: outcome m = 3 never occurs.
+    gapped = ResourceCoefficients.from_weights([0.6, 0.4, 0.0, 0.0])
+    with pytest.raises(ValueError, match="never occurs"):
+        correction_circuit(3, gapped, good)
 
 
 def test_correction_circuit_runs_the_engine_once(monkeypatch):

@@ -328,6 +328,15 @@ def _add_a_forbidden_pattern(outcomes, outcome_of, encode):
     outcomes.append(MeasurementOutcome(pattern, 1e-3, conditional))
 
 
+def _add_a_pattern_with_an_extra_photon(outcomes, outcome_of, encode):
+    # n + 2 photons in the first measured slot, one more than the protocol
+    # holds: the number encoding reads an impossible m, the polarization
+    # encoding refuses the photon count.
+    pattern, _, conditional = outcomes[0]
+    extra = (GAPPED.n + 2,) + (0,) * (len(pattern) - 1)
+    outcomes.append(MeasurementOutcome(extra, 1e-3, conditional))
+
+
 #: module whose measurement is corrupted, its oracle, how it reads m from a
 #: pattern, and how it encodes a number-encoded state
 ENCODINGS = {
@@ -358,6 +367,8 @@ LEAK = "outside its branch occupations"
         ("polarization", _leak_1e9_on_a_failure, LEAK),
         ("number", _add_a_forbidden_pattern, "the law forbids"),
         ("polarization", _add_a_forbidden_pattern, "the law forbids"),
+        ("number", _add_a_pattern_with_an_extra_photon, "impossible outcome m=5"),
+        ("polarization", _add_a_pattern_with_an_extra_photon, "detected 5 photons, expected 4"),
     ],
 )
 def test_oracles_catch_a_corrupted_pattern(monkeypatch, encoding, corrupt, message):
