@@ -366,10 +366,7 @@ def cmd_optimize(args: argparse.Namespace) -> str:
         )
     except ValueError as exc:
         raise ConfigError(f"cannot optimize: {exc}") from None
-    payload = report.as_dict()
-    if args.objective == "success":
-        payload["uniform_reference"] = args.n / (args.n + 1)
-    return dump_json(payload) + "\n"
+    return dump_json(report.as_dict()) + "\n"
 
 
 def cmd_sweep(args: argparse.Namespace) -> str:

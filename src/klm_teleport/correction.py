@@ -91,13 +91,20 @@ def p_success_given_m(
     return min(abs(rc.at(m - 1)) ** 2, abs(rc.at(m)) ** 2) / p_m
 
 
-def adjacent_minima_sum(weights: Sequence[float]) -> float:
-    """sum_m min(w_{m-1}, w_m), the brute-force total success probability."""
+def _checked_weights(weights: Sequence[float]) -> list[float]:
+    """The weights as floats; ``ValueError`` unless two or more, all finite and nonnegative."""
     ws = [float(w) for w in weights]
     if len(ws) < 2:
         raise ValueError("need at least two weights")
-    if any(w < 0 for w in ws):
-        raise ValueError("weights must be nonnegative")
+    # NaN fails the comparison, so it is refused too.
+    if not all(0.0 <= w < math.inf for w in ws):
+        raise ValueError("weights must be finite and nonnegative")
+    return ws
+
+
+def adjacent_minima_sum(weights: Sequence[float]) -> float:
+    """sum_m min(w_{m-1}, w_m), the brute-force total success probability."""
+    ws = _checked_weights(weights)
     return math.fsum(min(a, b) for a, b in zip(ws, ws[1:]))
 
 
@@ -121,9 +128,7 @@ class ExtremaClassification:
 
 
 def classify_sequence(weights: Sequence[float]) -> ExtremaClassification:
-    ws = [float(w) for w in weights]
-    if len(ws) < 2:
-        raise ValueError("need at least two weights")
+    ws = _checked_weights(weights)
     strict = all(a != b for a, b in zip(ws, ws[1:]))
     maxima = []
     minima = []

@@ -4,6 +4,9 @@ Basis states are occupation tuples, one nonnegative photon count per mode,
 ordered lexicographically.  A pure state is a sparse map from occupation
 tuples to complex amplitudes.  All operations are pure functions; states are
 treated as immutable values.
+
+Photon counting measures the leading modes, so a detection pattern and its
+conditional state are a prefix and a suffix slice of each occupation.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -114,49 +116,30 @@ def tensor(left: PureState, right: PureState) -> PureState:
     return PureState._derived(left.mode_count + right.mode_count, _significant(combined.items()))
 
 
-def _picker(indices: list[int]) -> Callable[[Occupation], Occupation]:
-    """Occupation -> the tuple of its entries at ``indices`` (ascending, distinct)."""
-    if not indices:
-        return lambda occ: ()
-    first, last = indices[0], indices[-1]
-    if last - first + 1 == len(indices):
-        # One contiguous run: a tuple slice, which is a tuple even for one entry.
-        return itemgetter(slice(first, last + 1))
-    return itemgetter(*indices)
-
-
 class MeasurementOutcome(NamedTuple):
     pattern: Occupation
     probability: float
     conditional: PureState
 
 
-def measure_photon_counts(
-    state: PureState,
-    measured_modes: Iterable[int],
-) -> list[MeasurementOutcome]:
-    """Project onto photon-count patterns of a subset of modes.
+def measure_photon_counts(state: PureState, measured: int) -> list[MeasurementOutcome]:
+    """Project the first ``measured`` modes (1..mode_count) onto photon-count patterns.
 
-    Returns (pattern, probability, conditional state on the remaining modes)
+    Returns (pattern, probability, conditional state on the later modes)
     sorted by pattern, omitting patterns with probability below
     ``OUTCOME_EPS``.  Conditional amplitudes keep their phases, so
     recombining sqrt(probability) * pattern x conditional reconstructs the
-    input state exactly.
+    input state exactly.  An unnormalized state raises ``ValueError``.
     """
-    modes = sorted({int(i) for i in measured_modes})
-    if not modes:
-        raise ValueError("measured mode set must be non-empty")
-    if modes[0] < 0 or modes[-1] >= state.mode_count:
-        raise ValueError(f"measured modes {modes} out of range for {state.mode_count} modes")
+    if not 1 <= measured <= state.mode_count:
+        raise ValueError(f"measured mode count {measured} is outside 1..{state.mode_count}")
     state.require_normalized()
-    mset = set(modes)
-    keep = [i for i in range(state.mode_count) if i not in mset]
-    pattern_of, rest_of = _picker(modes), _picker(keep)
 
     grouped: dict[Occupation, dict[Occupation, complex]] = {}
     for occ, amp in state.amplitudes.items():
-        grouped.setdefault(pattern_of(occ), {})[rest_of(occ)] = amp
+        grouped.setdefault(occ[:measured], {})[occ[measured:]] = amp
 
+    kept = state.mode_count - measured
     outcomes: list[MeasurementOutcome] = []
     for pattern in sorted(grouped):
         branch = grouped[pattern]
@@ -164,7 +147,7 @@ def measure_photon_counts(
         if prob < OUTCOME_EPS:
             continue
         scale = 1.0 / math.sqrt(prob)
-        conditional = PureState._derived(len(keep), {occ: a * scale for occ, a in branch.items()})
+        conditional = PureState._derived(kept, {occ: a * scale for occ, a in branch.items()})
         outcomes.append(MeasurementOutcome(pattern, prob, conditional))
     return outcomes
 

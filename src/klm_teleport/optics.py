@@ -84,19 +84,13 @@ def fourier_unitary(points: int) -> ModeUnitary:
     return ModeUnitary(mat)
 
 
-def embed(u: ModeUnitary, target_modes: Sequence[int], total_modes: int) -> ModeUnitary:
-    """Place ``u`` on the listed modes of a larger interferometer, identity elsewhere."""
-    targets = [int(t) for t in target_modes]
-    if len(targets) != u.dimension:
-        raise ValueError(
-            f"target mode list has {len(targets)} entries for a {u.dimension}-mode unitary"
-        )
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"target modes must be distinct, got {targets}")
-    if any(t < 0 or t >= total_modes for t in targets):
-        raise ValueError(f"target modes {targets} out of range for {total_modes} modes")
+def embed(u: ModeUnitary, total_modes: int) -> ModeUnitary:
+    """``u`` on the leading modes of a ``total_modes``-mode interferometer, identity after."""
+    dim = u.dimension
+    if dim > total_modes:
+        raise ValueError(f"a {dim}-mode block does not fit in {total_modes} modes")
     mat = np.eye(total_modes, dtype=complex)
-    mat[np.ix_(targets, targets)] = u.matrix
+    mat[:dim, :dim] = u.matrix
     return ModeUnitary(mat)
 
 

@@ -321,9 +321,11 @@ class OptimizationReport:
     restarts: int
     budget_exhausted: bool
     certificate: dict = field(default_factory=dict)
+    #: The certified success optimum n/(n+1); None for other objectives.
+    uniform_reference: float | None = None
 
     def as_dict(self) -> dict:
-        return {
+        payload = {
             "objective": self.objective,
             "n": self.best_point.n,
             "best_weights": list(self.best_point.weights),
@@ -334,6 +336,9 @@ class OptimizationReport:
             "budget_exhausted": self.budget_exhausted,
             "certificate": self.certificate,
         }
+        if self.uniform_reference is not None:
+            payload["uniform_reference"] = self.uniform_reference
+        return payload
 
 
 def success_dual_certificate(n: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -484,6 +489,7 @@ def maximize(
             "search_best_value": search_best,
             "search_gap": bound - search_best,
         },
+        uniform_reference=bound,
     )
 
 

@@ -240,13 +240,14 @@ def run_oracle_polarization(
             return 1 + 0j
         return fourier_phase(tuple(map(add, pattern[0::2], pattern[1::2])))
 
-    with gc_paused():
+    def counted():
         state = dual_rail(tensor(qubit_state(qubit), build_resource_state(rc)))
         doubled = ModeUnitary(np.kron(fourier_unitary(n + 1).matrix, np.eye(2)))
-        transform = embed(doubled, range(2 * (n + 1)), state.mode_count)
-        evolved = apply(transform, state)
-        measured = measure_photon_counts(evolved, range(2 * (n + 1)))
-        return reconcile_outcomes(rc, qubit, measured, read, phase_of)
+        transform = embed(doubled, state.mode_count)
+        return measure_photon_counts(apply(transform, state), 2 * (n + 1))
+
+    with gc_paused():
+        return reconcile_outcomes(rc, qubit, counted(), read, phase_of)
 
 
 def teleported_state(

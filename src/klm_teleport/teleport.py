@@ -195,6 +195,10 @@ def gc_paused() -> Iterator[None]:
     find nothing to free and only cost time.  Nothing is collected here: a
     caller that had the collector enabled gets it back enabled, one that had
     disabled it keeps it disabled, also when the block raises.
+
+    Build large intermediates in a function called inside the block: they
+    then die with its frame before the collector resumes, instead of being
+    promoted by its first pass and walked by the full passes that follow.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -412,18 +416,24 @@ def run_oracle(
     def phase_of(pattern: Occupation, m: int) -> complex:
         return derive_phase_correction(pattern, m, rc, qubit)
 
-    with gc_paused():
+    def counted():
         protocol_state = tensor(qubit_state(qubit), build_resource_state(rc))
-        transform = embed(fourier_unitary(n + 1), tuple(range(n + 1)), 2 * n + 1)
-        evolved = apply(transform, protocol_state)
-        measured = measure_photon_counts(evolved, range(n + 1))
-        return reconcile_outcomes(rc, qubit, measured, read, phase_of)
+        transform = embed(fourier_unitary(n + 1), 2 * n + 1)
+        return measure_photon_counts(apply(transform, protocol_state), n + 1)
+
+    with gc_paused():
+        return reconcile_outcomes(rc, qubit, counted(), read, phase_of)
 
 
 def oracle_deviation(
     analytic: list[TeleportOutcome], oracle: list[TeleportOutcome]
 ) -> float:
-    """Largest discrepancy between the two outcome tables (probabilities and qubits)."""
+    """Largest discrepancy between the two outcome tables (probabilities and qubits).
+
+    Raises ``ValueError`` unless both tables list the same m's in the same order.
+    """
+    if [o.m for o in analytic] != [o.m for o in oracle]:
+        raise ValueError("outcome tables do not pair up: their m columns differ")
     worst = 0.0
     for law, sim in zip(analytic, oracle):
         worst = max(worst, abs(law.probability - sim.probability))

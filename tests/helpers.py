@@ -3,7 +3,9 @@
 The naive permanent here is the reference implementation the fast Gray-code
 version is checked against; keep it dumb on purpose.  ``enumerate_basis``
 lists every occupation of a photon-number sector, the reference for checks
-that must visit all of them.
+that must visit all of them.  ``block_unitary`` places a block on any modes,
+not only the leading ones ``embed`` serves, for tests of ``apply`` with
+identity modes between active ones.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ import math
 
 import numpy as np
 
-from klm_teleport import PureState, QubitAmplitudes, ResourceCoefficients, SimplexPoint
+from klm_teleport import (
+    ModeUnitary,
+    PureState,
+    QubitAmplitudes,
+    ResourceCoefficients,
+    SimplexPoint,
+)
 from klm_teleport.teleport import normalize_coefficients
 
 
@@ -49,6 +57,13 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
+
+
+def block_unitary(block, modes, total_modes: int) -> ModeUnitary:
+    """``block`` on the listed ``modes`` of ``total_modes`` modes, identity elsewhere."""
+    mat = np.eye(total_modes, dtype=complex)
+    mat[np.ix_(modes, modes)] = block
+    return ModeUnitary(mat)
 
 
 def random_state(modes: int, photons: int, rng: np.random.Generator) -> PureState:

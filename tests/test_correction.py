@@ -114,6 +114,19 @@ def test_adjacent_minima_sum_frozen():
         adjacent_minima_sum((0.5, -0.1, 0.6))
 
 
+@pytest.mark.parametrize("function", [adjacent_minima_sum, classify_sequence, extrema_formula])
+@pytest.mark.parametrize(
+    "weights",
+    [(math.nan, 0.5, 0.5), (math.inf, 0.2, 0.1), (0.6, -math.inf, 0.4), (0.5, -0.1, 0.6), (1.0,)],
+    ids=["nan", "inf", "-inf", "negative", "one-entry"],
+)
+def test_weight_sequence_functions_refuse_invalid_weights(function, weights):
+    with pytest.raises(ValueError) as excinfo:
+        function(weights)
+    # A NaN weight is invalid input, not an exact plateau.
+    assert not isinstance(excinfo.value, PlateauError)
+
+
 def test_brute_success_uniform_is_n_over_n_plus_one():
     for n in range(1, 9):
         rc = ResourceCoefficients.uniform(n)

@@ -109,34 +109,18 @@ def test_tensor_preserves_norm():
 def test_measurement_outcomes_complete_and_reconstruct():
     rng = np.random.default_rng(11)
     state = random_state(4, 3, rng)
-    outcomes = measure_photon_counts(state, [0, 2])
+    outcomes = measure_photon_counts(state, 2)
     total = math.fsum(o.probability for o in outcomes)
     assert total == pytest.approx(1.0, abs=1e-12)
     patterns = [o.pattern for o in outcomes]
     assert patterns == sorted(patterns)
-    # Recombining sqrt(p) * conditional against the measured slots rebuilds the state.
+    # Recombining sqrt(p) * pattern x conditional rebuilds the state.
     rebuilt = {}
     for pattern, prob, conditional in outcomes:
         assert abs(conditional.norm() - 1.0) <= 1e-12
+        assert conditional.mode_count == 2
         for rest, amp in conditional.amplitudes.items():
-            occ = (pattern[0], rest[0], pattern[1], rest[1])
-            rebuilt[occ] = amp * math.sqrt(prob)
-    for occ, amp in state.amplitudes.items():
-        assert rebuilt[occ] == pytest.approx(amp, abs=1e-12)
-
-
-def test_measuring_a_contiguous_inner_run_rebuilds_the_state():
-    # Modes [1, 2] of 4: contiguous but not a prefix, and the kept modes
-    # [0, 3] are not contiguous.
-    rng = np.random.default_rng(13)
-    state = random_state(4, 3, rng)
-    outcomes = measure_photon_counts(state, [2, 1])
-    assert math.fsum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
-    rebuilt = {}
-    for pattern, prob, conditional in outcomes:
-        assert type(pattern) is tuple and len(pattern) == 2
-        for rest, amp in conditional.amplitudes.items():
-            rebuilt[(rest[0], *pattern, rest[1])] = amp * math.sqrt(prob)
+            rebuilt[pattern + rest] = amp * math.sqrt(prob)
     assert rebuilt.keys() == state.amplitudes.keys()
     for occ, amp in state.amplitudes.items():
         assert rebuilt[occ] == pytest.approx(amp, abs=1e-12)
@@ -144,18 +128,20 @@ def test_measuring_a_contiguous_inner_run_rebuilds_the_state():
 
 def test_measurement_validates_inputs():
     state = PureState.basis_state((1, 0))
-    with pytest.raises(ValueError):
-        measure_photon_counts(state, [])
-    with pytest.raises(ValueError):
-        measure_photon_counts(state, [2])
-    with pytest.raises(ValueError):
-        measure_photon_counts(PureState(2, {(1, 0): 2.0}), [0])
+    for count in (0, -1, 3):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            measure_photon_counts(state, count)
+    with pytest.raises(ValueError, match="not normalized"):
+        measure_photon_counts(PureState(2, {(1, 0): 2.0}), 1)
+    # The former mode-list form is no longer accepted.
+    with pytest.raises(TypeError):
+        measure_photon_counts(state, [0])
 
 
 def test_measurement_omits_patterns_below_outcome_eps():
     # Pattern (0,) has probability 1e-16, below OUTCOME_EPS = 1e-15.
     state = PureState(2, {(1, 0): math.sqrt(1 - 1e-16), (0, 1): 1e-8})
-    outcomes = measure_photon_counts(state, [0])
+    outcomes = measure_photon_counts(state, 1)
     assert [o.pattern for o in outcomes] == [(1,)]
     assert outcomes[0].probability == pytest.approx(1.0, abs=1e-15)
 
@@ -164,7 +150,7 @@ def test_measuring_all_modes_leaves_trivial_conditional():
     state = PureState.from_terms(
         2, {(1, 0): 1 / math.sqrt(2), (0, 1): 1j / math.sqrt(2)}
     )
-    outcomes = measure_photon_counts(state, [0, 1])
+    outcomes = measure_photon_counts(state, 2)
     assert [o.pattern for o in outcomes] == [(0, 1), (1, 0)]
     for outcome in outcomes:
         assert outcome.probability == pytest.approx(0.5)
@@ -175,14 +161,12 @@ def test_measuring_all_modes_leaves_trivial_conditional():
 def test_measurement_patterns_are_tuples_for_one_measured_or_kept_mode():
     rng = np.random.default_rng(12)
     state = random_state(2, 2, rng)
-    for measured, kept in (([0], 1), ([1], 0)):
-        outcomes = measure_photon_counts(state, measured)
-        assert [o.pattern for o in outcomes] == [(0,), (1,), (2,)]
-        for pattern, prob, conditional in outcomes:
-            assert list(conditional.amplitudes) == [(2 - pattern[0],)]
-            occ = [0, 0]
-            occ[measured[0]], occ[kept] = pattern[0], 2 - pattern[0]
-            assert abs(state.amplitude(occ)) ** 2 == pytest.approx(prob, abs=1e-15)
+    outcomes = measure_photon_counts(state, 1)
+    assert [o.pattern for o in outcomes] == [(0,), (1,), (2,)]
+    for pattern, prob, conditional in outcomes:
+        assert list(conditional.amplitudes) == [(2 - pattern[0],)]
+        occ = (pattern[0], 2 - pattern[0])
+        assert abs(state.amplitude(occ)) ** 2 == pytest.approx(prob, abs=1e-15)
 
 
 def test_qubit_amplitudes_enforce_normalization():

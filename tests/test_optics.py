@@ -27,6 +27,7 @@ from klm_teleport import (
 )
 
 from helpers import (
+    block_unitary,
     enumerate_basis,
     naive_permanent,
     random_coefficients,
@@ -73,26 +74,23 @@ def test_mode_unitary_rejects_bad_matrices():
                 ModeUnitary(np.array(matrix))
 
 
-def test_embed_places_block_on_named_modes():
-    two_point = fourier_unitary(2)
-    mat = embed(two_point, (2, 0), 3).matrix
-    r = 1 / math.sqrt(2)
-    assert mat[2, 2] == pytest.approx(r)
-    assert mat[2, 0] == pytest.approx(r)
-    assert mat[0, 2] == pytest.approx(r)
-    assert mat[0, 0] == pytest.approx(-r)
-    assert mat[1, 1] == pytest.approx(1.0)
-    assert mat[1, 0] == mat[0, 1] == 0.0
+def test_embed_places_block_on_leading_modes():
+    rng = np.random.default_rng(7)
+    block = random_unitary(2, rng)
+    mat = embed(ModeUnitary(block), 3).matrix
+    assert np.array_equal(mat[:2, :2], block)
+    assert np.array_equal(mat[2], [0, 0, 1]) and np.array_equal(mat[:, 2], [0, 0, 1])
+    assert np.array_equal(embed(ModeUnitary(block), 2).matrix, block)
 
 
 def test_embed_validates_modes():
     two_point = fourier_unitary(2)
-    with pytest.raises(ValueError):
-        embed(two_point, (0, 0), 3)
-    with pytest.raises(ValueError):
-        embed(two_point, (0, 3), 3)
-    with pytest.raises(ValueError, match="2-mode unitary"):
-        embed(two_point, (0,), 3)
+    for total in (1, 0, -1):
+        with pytest.raises(ValueError, match="2-mode block does not fit"):
+            embed(two_point, total)
+    # The former target-list form is no longer accepted.
+    with pytest.raises(TypeError):
+        embed(two_point, (0, 1), 3)
 
 
 def test_permanent_small_cases():
@@ -169,7 +167,7 @@ def test_apply_preserves_norm_and_composes():
 def test_apply_skips_identity_modes_exactly():
     rng = np.random.default_rng(21)
     block = random_unitary(2, rng)
-    u = embed(ModeUnitary(block), (1, 3), 5)
+    u = block_unitary(block, (1, 3), 5)
     # Untouched modes pass through as the exact identity.
     passive = PureState.basis_state((2, 0, 1, 0, 3))
     assert apply(u, passive).amplitudes == passive.amplitudes
@@ -223,7 +221,7 @@ def test_apply_matches_transition_amplitudes_on_an_embedded_block():
     rng = np.random.default_rng(89)
     block = (1, 2, 4, 6)
     spectators = (0, 3, 5)
-    u = embed(ModeUnitary(random_unitary(4, rng)), block, 7)
+    u = block_unitary(random_unitary(4, rng), block, 7)
     terms = {}
     for _ in range(12):
         occ = [0] * 7
@@ -251,7 +249,7 @@ def _number_oracle_input(n, rng):
         build_resource_state(random_coefficients(n, rng)),
     )
     block = tuple(range(n + 1))
-    return embed(fourier_unitary(n + 1), block, 2 * n + 1), state, block
+    return block_unitary(fourier_unitary(n + 1).matrix, block, 2 * n + 1), state, block
 
 
 def _polarization_oracle_input(n, rng):
@@ -264,7 +262,7 @@ def _polarization_oracle_input(n, rng):
         slot_index(rail, VERTICAL) for rail in range(n + 1)
     )
     doubled = np.kron(np.eye(2), fourier_unitary(n + 1).matrix)
-    return embed(ModeUnitary(doubled), block, 2 * (2 * n + 1)), state, block
+    return block_unitary(doubled, block, 2 * (2 * n + 1)), state, block
 
 
 def test_apply_evolves_oracle_inputs_without_permanents(monkeypatch):
@@ -294,7 +292,7 @@ def test_apply_requires_matching_dimension_and_normalization():
     with pytest.raises(ValueError, match="not normalized"):
         apply(ModeUnitary(np.eye(2)), nan_norm)
     with pytest.raises(ValueError, match="not normalized"):
-        measure_photon_counts(nan_norm, [0])
+        measure_photon_counts(nan_norm, 1)
 
 
 def test_apply_handles_39_photons_per_term_and_refuses_40():
@@ -303,7 +301,7 @@ def test_apply_handles_39_photons_per_term_and_refuses_40():
     # two interfering photons are checked against transition_amplitude.
     rng = np.random.default_rng(39)
     block = ModeUnitary(random_unitary(2, rng))
-    u = embed(block, (1, 2), 3)
+    u = block_unitary(block.matrix, (1, 2), 3)
     evolved = apply(u, PureState.basis_state((37, 1, 1)))
     targets = enumerate_basis(2, 2)
     for a, b in targets:

@@ -329,7 +329,11 @@ def test_maximize_report_dict_shape():
         "restarts",
         "budget_exhausted",
         "certificate",
+        "uniform_reference",
     }
+    assert payload["uniform_reference"] == 0.5
+    # The certified success optimum is reported for the success objective only.
+    assert "uniform_reference" not in maximize("avg_fidelity", 1, mc_samples=2).as_dict()
 
 
 def test_certificate_reports_uniform_as_inapplicable():

@@ -5,6 +5,7 @@ import functools
 import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -249,6 +250,17 @@ def test_oracle_handles_degenerate_inputs():
     assert oracle_deviation(analytic, oracle) < 1e-10
 
 
+def test_oracle_deviation_refuses_tables_that_do_not_pair_up():
+    oracle = run_oracle(ResourceCoefficients.uniform(4), balanced())
+    analytic = run_analytic(ResourceCoefficients.uniform(4), balanced())
+    assert oracle_deviation(analytic, oracle) < 1e-10
+    # Empty, shorter (an n = 2 law against an n = 4 oracle) and misordered tables.
+    shorter = run_analytic(ResourceCoefficients.uniform(2), balanced())
+    for table in ([], shorter, analytic[::-1]):
+        with pytest.raises(ValueError, match="do not pair up"):
+            oracle_deviation(table, oracle)
+
+
 def test_oracle_refuses_large_n_by_default():
     rc = ResourceCoefficients.uniform(9)
     with pytest.raises(ValueError, match="n <= 8"):
@@ -420,6 +432,41 @@ def test_oracles_pause_the_collector_and_restore_its_state(monkeypatch, encoding
         if was_enabled:
             gc.enable()
     assert seen == [False, False]
+
+
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+def test_oracles_free_the_evolved_state_before_the_collector_resumes(monkeypatch, encoding):
+    module, oracle, _, _ = ENCODINGS[encoding]
+    evolve = module.apply
+    evolved = []
+
+    def watched(u, state):
+        result = evolve(u, state)
+        evolved.append(weakref.ref(result))
+        return result
+
+    # Whether the evolved state is still alive when each collection starts.
+    alive_at_collection = []
+
+    def on_collection(phase, info):
+        if phase == "start" and evolved:
+            alive_at_collection.append(evolved[0]() is not None)
+
+    monkeypatch.setattr(module, "apply", watched)
+    was_enabled, threshold = gc.isenabled(), gc.get_threshold()
+    gc.callbacks.append(on_collection)
+    try:
+        # Threshold 1: the first allocation after the pause starts a collection.
+        gc.set_threshold(1)
+        gc.enable()
+        oracle(ResourceCoefficients.uniform(3), balanced())
+    finally:
+        gc.callbacks.remove(on_collection)
+        gc.set_threshold(*threshold)
+        if not was_enabled:
+            gc.disable()
+    assert evolved[0]() is None
+    assert alive_at_collection and not any(alive_at_collection)
 
 
 def test_fourier_phase_table_holds_the_exact_roots():
