@@ -41,7 +41,6 @@ from .teleport import (
     TeleportOutcome,
     build_resource_state,
     fourier_phase,
-    gc_paused,
     number_branches,
     qubit_state,
     reconcile_outcomes,
@@ -205,7 +204,7 @@ def run_oracle_polarization(
 
     The dual rail of the number-encoded input x resource passes the doubled
     Fourier transform F (x) 1 on rails 0..n.  Every measured slot is counted,
-    ``read`` refuses a pattern that does not detect all n+1 photons, and
+    a pattern that does not detect all n+1 photons is refused, and
     :func:`reconcile_outcomes` checks the patterns, grouped by their vertical
     total m, against the dual rail of the number-encoded branch occupations.
     The corrective phase is a formula of the pattern, never read from the
@@ -221,23 +220,15 @@ def run_oracle_polarization(
             f"(requested n={n})"
         )
     branches = [tuple(_dual(occ) for occ in number_branches(n, m)) for m in range(n + 2)]
-    # Outcomes whose law has a single branch take no phase.
-    one_branch = [
-        qubit.alpha == 0 or qubit.beta == 0 or rc.at(m) == 0 or rc.at(m - 1) == 0
-        for m in range(n + 2)
-    ]
 
-    def read(pattern: Occupation):
+    def outcome_of(pattern: Occupation) -> int:
         if sum(pattern) != n + 1:
             raise OracleMismatchError(
                 f"pattern {pattern} detected {sum(pattern)} photons, expected {n + 1}"
             )
-        m = sum(pattern[1::2])
-        return m, branches[m]
+        return sum(pattern[1::2])
 
-    def phase_of(pattern: Occupation, m: int) -> complex:
-        if one_branch[m]:
-            return 1 + 0j
+    def phase_of(pattern: Occupation, _m: int) -> complex:
         return fourier_phase(tuple(map(add, pattern[0::2], pattern[1::2])))
 
     def counted():
@@ -246,8 +237,7 @@ def run_oracle_polarization(
         transform = embed(doubled, state.mode_count)
         return measure_photon_counts(apply(transform, state), 2 * (n + 1))
 
-    with gc_paused():
-        return reconcile_outcomes(rc, qubit, counted(), read, phase_of)
+    return reconcile_outcomes(rc, qubit, counted, outcome_of, branches, phase_of)
 
 
 def teleported_state(

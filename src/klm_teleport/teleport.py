@@ -195,10 +195,6 @@ def gc_paused() -> Iterator[None]:
     find nothing to free and only cost time.  Nothing is collected here: a
     caller that had the collector enabled gets it back enabled, one that had
     disabled it keeps it disabled, also when the block raises.
-
-    Build large intermediates in a function called inside the block: they
-    then die with its frame before the collector resumes, instead of being
-    promoted by its first pass and walked by the full passes that follow.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -236,46 +232,51 @@ def derive_phase_correction(
     pattern: Occupation,
     m: int,
     rc: ResourceCoefficients,
-    qubit: QubitAmplitudes,
 ) -> complex:
     """Unit-modulus factor aligning the simulated conditional qubit with the law.
 
     Multiplying the detected logical-one amplitude by the returned factor makes
-    the conditional state proportional to (alpha c_m, beta c_{m-1}).  When only
-    one branch is populated there is nothing to align and 1 is returned.
-    Logical 0 enters the transform on modes 1..m (resource term m), logical 1
-    on modes 0..m-1 (input photon plus term m-1): one cyclic shift apart, so
-    the factor is :func:`fourier_phase` of the pattern.  It is a formula of
-    the pattern alone, independent of the full interferometer simulation.
+    the conditional state proportional to (alpha c_m, beta c_{m-1}).  Whether
+    an outcome has two branches to align is the caller's decision; see
+    :func:`reconcile_outcomes`.  Logical 0 enters the transform on modes 1..m
+    (resource term m), logical 1 on modes 0..m-1 (input photon plus term
+    m-1): one cyclic shift apart, so the factor is :func:`fourier_phase` of
+    the pattern.  It is a formula of the pattern alone, independent of the
+    full interferometer simulation.
     """
-    coefficients = rc.amplitudes
-    points = len(coefficients)
+    points = len(rc.amplitudes)
     if not 1 <= m < points:
         raise ValueError(f"phase correction applies to success outcomes, got m={m}")
     if len(pattern) != points or sum(pattern) != m:
         raise ValueError(f"pattern {pattern} does not detect m={m} photons on {points} modes")
-    if qubit.alpha == 0 or qubit.beta == 0 or coefficients[m] == 0 or coefficients[m - 1] == 0:
-        return 1 + 0j
     return fourier_phase(pattern)
 
 
 def reconcile_outcomes(
     rc: ResourceCoefficients,
     qubit: QubitAmplitudes,
-    measured: Iterable[MeasurementOutcome],
-    read: Callable[[Occupation], tuple[int, tuple[Occupation, ...]]],
+    simulate: Callable[[], Iterable[MeasurementOutcome]],
+    outcome_of: Callable[[Occupation], int],
+    branches: Sequence[tuple[Occupation, ...]],
     phase_of: Callable[[Occupation, int], complex],
 ) -> list[TeleportOutcome]:
     """Check simulated detection patterns against the outcome law and aggregate by m.
 
     The encoding-independent half of both oracles.  The encoding supplies
-    ``read(pattern)``, which returns the outcome m and the branch occupations
-    of the unmeasured modes (the lone spectator occupation of a failure, or
-    the logical-zero and logical-one occupations of a success) and raises
-    OracleMismatchError for a pattern the encoding cannot produce; and
+    ``simulate()``, which evolves the protocol and returns its photon-count
+    outcomes; ``outcome_of(pattern)``, the outcome m of a pattern, which
+    raises OracleMismatchError for a pattern the encoding cannot produce;
+    ``branches[m]``, the branch occupations of the unmeasured modes for
+    m = 0 .. n+1 (the lone spectator occupation of a failure, or the
+    logical-zero and logical-one occupations of a success); and
     ``phase_of(pattern, m)``, the unit factor on the logical-one amplitude of
     a success pattern, which sees only the pattern so that it cannot borrow
     the phase from the simulation it checks.
+
+    ``simulate`` runs with the cyclic garbage collector paused (see
+    :func:`gc_paused`).  It must build its states in its own frame: they then
+    die with it before the collector resumes, instead of being promoted by
+    its first pass and walked by the full passes that follow.
 
     Every pattern, whatever its probability, may hold amplitude only on its
     branch occupations: the norm of the rest must stay within ``ORACLE_TOL``.
@@ -286,9 +287,11 @@ def reconcile_outcomes(
     it also means the state factorizes as spectators x qubit mode.  A
     success pattern must fall at an m the law gives a conditional qubit, its
     branch magnitudes must match that qubit's and its phase-corrected qubit
-    must match the qubit itself.  The most probable pattern's corrected qubit
-    represents each m, and the aggregated probability of each m must match
-    the law within ``ORACLE_TOL``.  Raises OracleMismatchError on any
+    must match the qubit itself.  An outcome whose law has a single nonzero
+    branch magnitude has no relative phase: its patterns record ``1 + 0j``
+    and ``phase_of`` is not asked.  The most probable pattern's corrected
+    qubit represents each m, and the aggregated probability of each m must
+    match the law within ``ORACLE_TOL``.  Raises OracleMismatchError on any
     disagreement.
     """
     n = rc.n
@@ -299,53 +302,59 @@ def reconcile_outcomes(
     magnitudes = [(abs(law.alpha), abs(law.beta)) if law is not None else None for law in laws]
     per_m_qubit: dict[int, tuple[float, QubitAmplitudes]] = {}
 
-    for pattern, prob, conditional in measured:
-        m, occupations = read(pattern)
-        if not 0 <= m <= n + 1:
-            raise OracleMismatchError(f"impossible outcome m={m} in pattern {pattern}")
-        amplitudes = conditional.amplitudes
-        # With every key a branch occupation, the amplitude outside is exactly 0.
-        if not all(map(occupations.__contains__, amplitudes)):
-            outside = math.sqrt(
-                math.fsum([abs(a) ** 2 for occ, a in amplitudes.items() if occ not in occupations])
-            )
-            if outside > ORACLE_TOL:
-                raise OracleMismatchError(
-                    f"pattern {pattern} holds amplitude {outside:.3e} "
-                    "outside its branch occupations"
+    with gc_paused():
+        for pattern, prob, conditional in simulate():
+            m = outcome_of(pattern)
+            if not 0 <= m <= n + 1:
+                raise OracleMismatchError(f"impossible outcome m={m} in pattern {pattern}")
+            occupations = branches[m]
+            amplitudes = conditional.amplitudes
+            # With every key a branch occupation, the amplitude outside is exactly 0.
+            if not all(map(occupations.__contains__, amplitudes)):
+                outside = math.sqrt(
+                    math.fsum(
+                        [abs(a) ** 2 for occ, a in amplitudes.items() if occ not in occupations]
+                    )
                 )
-        records = per_m_patterns[m]
-        if not 1 <= m <= n:
-            records.append(PatternRecord(pattern, prob, 1 + 0j, float("nan")))
-            continue
+                if outside > ORACLE_TOL:
+                    raise OracleMismatchError(
+                        f"pattern {pattern} holds amplitude {outside:.3e} "
+                        "outside its branch occupations"
+                    )
+            records = per_m_patterns[m]
+            if not 1 <= m <= n:
+                records.append(PatternRecord(pattern, prob, 1 + 0j, float("nan")))
+                continue
 
-        law = laws[m]
-        if law is None:
-            raise OracleMismatchError(f"pattern {pattern} detected m={m}, which the law forbids")
-        # Per-pattern tolerances loosen for negligible-probability patterns,
-        # whose normalized amplitudes amplify machine noise; they contribute
-        # nothing at the aggregate level, which keeps the strict tolerance.
-        pat_tol = ORACLE_TOL if prob >= 1e-12 else 1e-6
-        amp0 = amplitudes.get(occupations[0], 0j)
-        amp1 = amplitudes.get(occupations[1], 0j)
-        expected0, expected1 = magnitudes[m]
-        if abs(abs(amp0) - expected0) > pat_tol or abs(abs(amp1) - expected1) > pat_tol:
-            raise OracleMismatchError(
-                f"pattern {pattern} magnitudes ({abs(amp0):.12f}, {abs(amp1):.12f}) "
-                f"differ from the law ({expected0:.12f}, {expected1:.12f})"
-            )
+            law = laws[m]
+            if law is None:
+                raise OracleMismatchError(
+                    f"pattern {pattern} detected m={m}, which the law forbids"
+                )
+            # Per-pattern tolerances loosen for negligible-probability patterns,
+            # whose normalized amplitudes amplify machine noise; they contribute
+            # nothing at the aggregate level, which keeps the strict tolerance.
+            pat_tol = ORACLE_TOL if prob >= 1e-12 else 1e-6
+            amp0 = amplitudes.get(occupations[0], 0j)
+            amp1 = amplitudes.get(occupations[1], 0j)
+            expected0, expected1 = magnitudes[m]
+            if abs(abs(amp0) - expected0) > pat_tol or abs(abs(amp1) - expected1) > pat_tol:
+                raise OracleMismatchError(
+                    f"pattern {pattern} magnitudes ({abs(amp0):.12f}, {abs(amp1):.12f}) "
+                    f"differ from the law ({expected0:.12f}, {expected1:.12f})"
+                )
 
-        phase = phase_of(pattern, m)
-        corrected = QubitAmplitudes.from_unnormalized(amp0, amp1 * phase)
-        fidelity = corrected.fidelity_with(law)
-        if fidelity < 1.0 - pat_tol:
-            raise OracleMismatchError(
-                f"pattern {pattern} corrected fidelity {fidelity!r} below tolerance"
-            )
-        best = per_m_qubit.get(m)
-        if best is None or prob > best[0]:
-            per_m_qubit[m] = (prob, corrected)
-        records.append(PatternRecord(pattern, prob, phase, fidelity))
+            phase = phase_of(pattern, m) if expected0 and expected1 else 1 + 0j
+            corrected = QubitAmplitudes.from_unnormalized(amp0, amp1 * phase)
+            fidelity = corrected.fidelity_with(law)
+            if fidelity < 1.0 - pat_tol:
+                raise OracleMismatchError(
+                    f"pattern {pattern} corrected fidelity {fidelity!r} below tolerance"
+                )
+            best = per_m_qubit.get(m)
+            if best is None or prob > best[0]:
+                per_m_qubit[m] = (prob, corrected)
+            records.append(PatternRecord(pattern, prob, phase, fidelity))
 
     outcomes = []
     for law in analytic:
@@ -397,8 +406,9 @@ def run_oracle(
 
     Builds input qubit x resource, applies the embedded (n+1)-point Fourier
     transform, photon-counts the first n+1 modes, and hands the patterns to
-    :func:`reconcile_outcomes` with the branch occupations of
-    :func:`number_branches` and phases from :func:`derive_phase_correction`.
+    :func:`reconcile_outcomes` with their photon total as the outcome m, the
+    branch occupations of :func:`number_branches` and phases from
+    :func:`derive_phase_correction`.
     """
     n = rc.n
     if n > limit:
@@ -408,21 +418,15 @@ def run_oracle(
         )
     branches = [number_branches(n, m) for m in range(n + 2)]
 
-    def read(pattern: Occupation):
-        m = sum(pattern)
-        # An impossible m reads no branches; reconcile_outcomes refuses it.
-        return m, branches[m] if m <= n + 1 else ()
-
     def phase_of(pattern: Occupation, m: int) -> complex:
-        return derive_phase_correction(pattern, m, rc, qubit)
+        return derive_phase_correction(pattern, m, rc)
 
     def counted():
         protocol_state = tensor(qubit_state(qubit), build_resource_state(rc))
         transform = embed(fourier_unitary(n + 1), 2 * n + 1)
         return measure_photon_counts(apply(transform, protocol_state), n + 1)
 
-    with gc_paused():
-        return reconcile_outcomes(rc, qubit, counted(), read, phase_of)
+    return reconcile_outcomes(rc, qubit, counted, sum, branches, phase_of)
 
 
 def oracle_deviation(

@@ -10,7 +10,9 @@ the package reads as a name or an attribute.  A public name, one listed in
 classmethod or property of a module-level class, must be read by a module
 other than ``__init__.py``, or be allowed in ``UNREAD_PUBLIC_ALLOWED`` with
 the reason it stays.  Methods are listed as ``Class.method`` and count as
-read when any module reads an attribute of that name.
+read when any module reads an attribute of that name.  Finally it fails on a
+parameter of any function, method or nested function that its body never
+loads; ``self``, ``cls`` and ``_``-prefixed names are exempt.
 """
 
 import ast
@@ -240,3 +242,60 @@ def test_checker_sees_unread_public_names():
         "Box.size",
         "_Hidden.shown",
     }
+
+
+def _unread_parameters(tree: ast.AST):
+    """(function, parameter, line) for each parameter its function's body never loads.
+
+    A load anywhere in the body counts, a nested function's included, so a
+    parameter read only by a closure is read.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        loaded = {
+            name.id
+            for statement in node.body
+            for name in ast.walk(statement)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+        }
+        for param in params:
+            if param is None or param.arg in ("self", "cls") or param.arg.startswith("_"):
+                continue
+            if param.arg not in loaded:
+                yield node.name, param.arg, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    unread = [
+        f"{function}({param}) (line {line})"
+        for function, param, line in _unread_parameters(ast.parse(path.read_text()))
+    ]
+    assert not unread, f"{path.name} has parameters nothing reads: {', '.join(unread)}"
+
+
+def test_checker_sees_unread_parameters():
+    source = (
+        "def used(a, *args, b, **kwargs): return a, args, b, kwargs\n"
+        "def unused(a, b=1, *args, c, **kwargs): return a\n"
+        "def stored(a): a = 1\n"
+        "def closure(a):\n"
+        "    def inner(b, _c): return a\n"
+        "    return inner\n"
+        "class Box:\n"
+        "    def method(self): pass\n"
+        "    @classmethod\n"
+        "    def build(cls, size): pass\n"
+    )
+    assert list(_unread_parameters(ast.parse(source))) == [
+        ("unused", "b", 2),
+        ("unused", "args", 2),
+        ("unused", "c", 2),
+        ("unused", "kwargs", 2),
+        ("stored", "a", 3),
+        ("inner", "b", 5),
+        ("build", "size", 10),
+    ]

@@ -137,9 +137,8 @@ def test_failure_outcomes_collapse_the_qubit():
 
 def test_phase_correction_n1_uniform():
     rc = ResourceCoefficients.uniform(1)
-    q = balanced()
-    assert derive_phase_correction((1, 0), 1, rc, q) == pytest.approx(1.0)
-    assert derive_phase_correction((0, 1), 1, rc, q) == pytest.approx(-1.0)
+    assert derive_phase_correction((1, 0), 1, rc) == pytest.approx(1.0)
+    assert derive_phase_correction((0, 1), 1, rc) == pytest.approx(-1.0)
 
 
 def test_phase_correction_is_unit_modulus():
@@ -155,18 +154,12 @@ def test_phase_correction_is_unit_modulus():
 
 def test_phase_correction_validates_patterns():
     rc = ResourceCoefficients.uniform(2)
-    q = balanced()
     with pytest.raises(ValueError):
-        derive_phase_correction((1, 0, 0), 0, rc, q)
+        derive_phase_correction((1, 0, 0), 0, rc)
     with pytest.raises(ValueError):
-        derive_phase_correction((1, 1, 0), 1, rc, q)
+        derive_phase_correction((1, 1, 0), 1, rc)
     with pytest.raises(ValueError):
-        derive_phase_correction((1, 0), 1, rc, q)
-
-
-def test_phase_correction_degenerate_branch_is_one():
-    rc = ResourceCoefficients.uniform(2)
-    assert derive_phase_correction((0, 1, 0), 1, rc, QubitAmplitudes(1.0, 0.0)) == 1 + 0j
+        derive_phase_correction((1, 0), 1, rc)
 
 
 def _branch_phase(u, source_zero, source_one, target):
@@ -181,7 +174,6 @@ def _branch_phase(u, source_zero, source_one, target):
 
 def test_phase_correction_matches_transition_amplitudes():
     """The closed-form phase equals the permanent ratio on every reachable pattern."""
-    q = balanced()
     worst, checked = 0.0, 0
     for n in range(1, 6):
         rc = ResourceCoefficients.uniform(n)
@@ -192,7 +184,7 @@ def test_phase_correction_matches_transition_amplitudes():
             for pattern in enumerate_basis(n + 1, m):
                 expected = _branch_phase(u, vacuum_branch, photon_branch, pattern)
                 if expected is not None:
-                    got = derive_phase_correction(pattern, m, rc, q)
+                    got = derive_phase_correction(pattern, m, rc)
                     worst, checked = max(worst, abs(got - expected)), checked + 1
     for n in range(1, 5):
         # Block order of the doubled transform: horizontal slots, then vertical.
@@ -349,6 +341,17 @@ def _add_a_pattern_with_an_extra_photon(outcomes, outcome_of, encode):
     outcomes.append(MeasurementOutcome(extra, 1e-3, conditional))
 
 
+def _fill_the_empty_branch_at_m2(outcomes, outcome_of, encode):
+    # c_2 = 0 empties logical zero at m = 2.  Its occupation is a branch
+    # occupation, so the outside-amplitude check cannot see amplitude there.
+    index = next(i for i, o in enumerate(outcomes) if outcome_of(o.pattern) == 2)
+    pattern, prob, conditional = outcomes[index]
+    logical_zero = number_branches(GAPPED.n, 2)[0]
+    (empty,) = encode(PureState.basis_state(logical_zero)).amplitudes
+    filled = PureState(conditional.mode_count, {**conditional.amplitudes, empty: 1e-6})
+    outcomes[index] = MeasurementOutcome(pattern, prob, filled)
+
+
 #: module whose measurement is corrupted, its oracle, how it reads m from a
 #: pattern, and how it encodes a number-encoded state
 ENCODINGS = {
@@ -381,6 +384,8 @@ LEAK = "outside its branch occupations"
         ("polarization", _add_a_forbidden_pattern, "the law forbids"),
         ("number", _add_a_pattern_with_an_extra_photon, "impossible outcome m=5"),
         ("polarization", _add_a_pattern_with_an_extra_photon, "detected 5 photons, expected 4"),
+        ("number", _fill_the_empty_branch_at_m2, "magnitudes"),
+        ("polarization", _fill_the_empty_branch_at_m2, "magnitudes"),
     ],
 )
 def test_oracles_catch_a_corrupted_pattern(monkeypatch, encoding, corrupt, message):
@@ -402,6 +407,49 @@ def test_oracles_catch_a_corrupted_pattern(monkeypatch, encoding, corrupt, messa
         oracle(GAPPED, QubitAmplitudes(0.6, 0.8))
     # The collector the oracle paused is back as the caller had it.
     assert gc.isenabled() is collecting
+
+
+#: Inputs with single-branch success outcomes: the gapped resource of
+#: tests/test_oracle_golden.py (c_2 = 0, so m = 2 and 3 of n = 4 have one
+#: branch) and a beta = 0 qubit, for which every success has one branch.
+SINGLE_BRANCH_INPUTS = {
+    "gapped": (
+        normalize_coefficients([complex(v) for v in (0.5, 0.5, 0.0, 0.5, 0.5)]),
+        QubitAmplitudes(0.6, 0.8),
+    ),
+    "beta-zero": (random_coefficients(3, np.random.default_rng(43)), QubitAmplitudes(1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(SINGLE_BRANCH_INPUTS))
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+def test_single_branch_outcomes_take_no_phase(monkeypatch, encoding, inputs):
+    """The oracle asks for a phase only where the law has two branches."""
+    _, oracle, _, _ = ENCODINGS[encoding]
+    rc, qubit = SINGLE_BRANCH_INPUTS[inputs]
+    derive = teleport_module.derive_phase_correction
+    asked = []
+
+    def counting(pattern, m, resource):
+        asked.append(pattern)
+        return derive(pattern, m, resource)
+
+    monkeypatch.setattr(teleport_module, "derive_phase_correction", counting)
+    outcomes = oracle(rc, qubit)
+    single, double = [], []
+    for law, outcome in zip(run_analytic(rc, qubit), outcomes):
+        expected = law.conditional_qubit
+        if expected is not None:
+            (double if expected.alpha and expected.beta else single).extend(outcome.patterns)
+    assert single
+    assert all(record.corrective_phase == 1 + 0j for record in single)
+    if encoding == "number":
+        assert sorted(asked) == sorted(record.pattern for record in double)
+        # The caller, not derive_phase_correction, decides single-branch outcomes.
+        for pattern, *_ in single:
+            assert derive(pattern, sum(pattern), rc) == fourier_phase(pattern)
+    else:
+        assert asked == []
 
 
 @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
