@@ -15,8 +15,9 @@ proved by an explicit dual certificate (:func:`success_dual_certificate`)
 that is recomputed in exact rational arithmetic on every call.  Seeded
 Nelder-Mead restarts in softmax coordinates still search the success
 objective, only as an independent route that must not beat the certified
-bound.  That search is the package's only use of scipy, which is imported on
-its first Nelder-Mead stage rather than with the package.
+bound.  The Nelder-Mead loop is the package's own (:func:`minimize`); it
+replays scipy's adaptive variant bit for bit, and the package needs only
+numpy.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ SEARCH_TOL = 1e-12
 #: Objective evaluations the Nelder-Mead check may spend over all its restarts.
 #: Far above n + 2 for every n up to RESOURCE_LIMIT, so the first stage always runs.
 SEARCH_BUDGET = 150_000
+#: Nelder-Mead stops once no vertex is farther than NM_XATOL from the best one
+#: in any coordinate and NM_FATOL from it in value.
+NM_XATOL = 1e-10
+NM_FATOL = 1e-13
 #: Probability that the Monte-Carlo cross-check rejects a correct closed form.
 MC_FALSE_ALARM = 1e-9
 #: Monte-Carlo samples per block; the block size fixes the summation order, so the
@@ -371,16 +376,102 @@ def success_dual_certificate(n: int) -> tuple[list[Fraction], list[Fraction]]:
     return multipliers, coefficients
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported when first called.
+class _CapReached(Exception):
+    """Raised in place of an objective call that would pass the evaluation cap."""
 
-    Only the success search calls it, so every other use of the package
-    runs without loading scipy.  The search looks this name up as a module
-    global on every stage, so replacing the attribute intercepts each call.
+
+class NelderMeadResult(NamedTuple):
+    fun: float
+
+
+def minimize(fun, x0, *, maxfev: int) -> NelderMeadResult:
+    """Adaptive Nelder-Mead (Gao & Han 2012) on ``fun`` from ``x0``.
+
+    The start simplex is x0 and, per coordinate, x0 with that coordinate
+    scaled by 1.05 (set to 0.00025 if zero).  In d dimensions the expansion,
+    contraction and shrink coefficients are 1 + 2/d, 3/4 - 1/(2d) and 1 - 1/d.
+    Steps run until every vertex is within NM_XATOL of the best in each
+    coordinate and within NM_FATOL of it in value, or until ``maxfev`` calls
+    of ``fun`` are spent.  A call that would pass the cap is never made and
+    its step is abandoned, so a shrink cut short keeps the values it has
+    already computed.  The arithmetic, the numpy sort that orders tied
+    vertices and the cap handling are those of
+    ``scipy.optimize.minimize(method="Nelder-Mead")`` with ``adaptive=True``
+    and ``maxiter == maxfev``, so the vertex sequence, the evaluation count
+    and ``fun`` (the best value reached) match scipy 1.17.1 bit for bit.
+    ``fun`` must not modify its argument.  The search looks this name up as
+    a module global on every stage, so replacing the attribute intercepts
+    each call.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    x0 = np.asarray(x0, dtype=float)
+    dim = len(x0)
+    chi = 1 + 2 / dim
+    psi = 0.75 - 1 / (2 * dim)
+    sigma = 1 - 1 / dim
+    calls = 0
 
-    return scipy_minimize(fun, x0, **kwargs)
+    def f(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _CapReached
+        calls += 1
+        return fun(x)
+
+    def by_value(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(fsim)
+        return sim.take(order, 0), fsim.take(order, 0)
+
+    sim = np.tile(x0, (dim + 1, 1))
+    diagonal = np.arange(dim)
+    sim[diagonal + 1, diagonal] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full(dim + 1, np.inf)
+    try:
+        for k in range(dim + 1):
+            fsim[k] = f(sim[k])
+    except _CapReached:
+        pass
+    # Sorted twice, as scipy does: numpy's default argsort is not stable, so
+    # only the same sorts keep tied vertices, and with them the vertex each
+    # step replaces, in scipy's order on every numpy build.
+    sim, fsim = by_value(*by_value(sim, fsim))
+    while calls < maxfev:
+        # fsim is sorted with any NaN last, so fsim[-1] - fsim[0] is the
+        # largest |fsim[0] - fsim[i]|, or NaN exactly when that is NaN.
+        if (
+            fsim[-1] - fsim[0] <= NM_FATOL
+            and np.abs(sim[1:] - sim[0]).max() <= NM_XATOL
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / dim
+        worst = sim[-1]
+        try:
+            xr = 2 * xbar - worst
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + chi) * xbar - chi * worst
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi) * xbar - psi * worst
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = (1 - psi) * xbar + psi * worst
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, dim + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _CapReached:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    return NelderMeadResult(float(fsim.min()))
 
 
 def _search_success(n: int, seed: int, restarts: int) -> tuple[float, int, bool]:
@@ -411,18 +502,7 @@ def _search_success(n: int, seed: int, restarts: int) -> tuple[float, int, bool]
         cap = min(per_restart, SEARCH_BUDGET - evaluations)
         if cap <= dim + 1:
             return best, evaluations, True
-        result = minimize(
-            negated,
-            rng.standard_normal(dim),
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-10,
-                "fatol": 1e-13,
-                "maxfev": cap,
-                "maxiter": cap,
-                "adaptive": True,
-            },
-        )
+        result = minimize(negated, rng.standard_normal(dim), maxfev=cap)
         best = max(best, -float(result.fun))
     return best, evaluations, evaluations >= SEARCH_BUDGET
 
@@ -445,10 +525,10 @@ def maximize(
     :func:`_maximize_avg_fidelity`).  ``success`` returns the uniform point,
     whose optimality :func:`success_dual_certificate` proves; the
     certificate lists the dual multipliers and the per-weight coefficients
-    as exact fractions.  ``restarts`` seeded Nelder-Mead stages then search
-    the same objective independently, sharing SEARCH_BUDGET objective
-    evaluations; ``budget_exhausted`` reports that the budget cut them
-    short.  If any stage beats n/(n+1) by more than SEARCH_TOL the two
+    as exact fractions.  ``restarts`` seeded adaptive Nelder-Mead stages
+    (:func:`minimize`) then search the same objective independently, sharing
+    SEARCH_BUDGET objective evaluations; ``budget_exhausted`` reports that
+    the budget cut them short.  If any stage beats n/(n+1) by more than SEARCH_TOL the two
     routes disagree and ``OracleMismatchError`` is raised.  Raises
     ``ValueError`` before any work for invalid arguments, including n above
     RESOURCE_LIMIT.
