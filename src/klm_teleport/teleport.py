@@ -53,8 +53,8 @@ ORACLE_LIMIT = 8
 #: ``optimize.maximize`` accept.  The dense (n+1)x(n+1) eigenproblem and
 #: (n+2)x(n+1) Nelder-Mead simplex of ``maximize`` take ~8 MB each here, so a
 #: larger n is refused up front instead of failing to allocate.  It bounds
-#: memory, not time: the success check took ~9 s at n = 50, ~23-29 s at n = 200
-#: and over 300 s at n = 1000 (2-core machine).
+#: memory, not time: the success check takes 5-7 s at n = 50, ~27 s at n = 200
+#: and ~320 s at n = 1000 (2-core machine).
 RESOURCE_LIMIT = 1_000
 #: Agreement tolerance between the oracle and the analytic outcome law.
 ORACLE_TOL = 1e-10
