@@ -18,9 +18,7 @@ from .correction import (
     classify_sequence,
     extrema_formula,
     kraus_for,
-    p_success_closed_form,
     p_success_given_m,
-    p_success_total_brute,
 )
 from .fock import (
     MeasurementOutcome,
@@ -121,9 +119,7 @@ __all__ = [
     "optimal_avg_fidelity",
     "optimal_fidelity_profile",
     "oracle_deviation",
-    "p_success_closed_form",
     "p_success_given_m",
-    "p_success_total_brute",
     "permanent",
     "run_analytic",
     "run_oracle",

@@ -32,10 +32,10 @@ import numpy as np
 
 from .correction import (
     PlateauError,
+    adjacent_minima_sum,
     classify_sequence,
-    p_success_closed_form,
+    extrema_formula,
     p_success_given_m,
-    p_success_total_brute,
 )
 from .fock import QubitAmplitudes
 from .optics import MAX_PHOTONS
@@ -47,6 +47,9 @@ from .teleport import (
     RESOURCE_LIMIT,
     OracleMismatchError,
     ResourceCoefficients,
+    admit_oracle,
+    checked_count,
+    checked_weights,
     load_coefficients,
     normalize_coefficients,
     oracle_deviation,
@@ -124,8 +127,7 @@ def parse_qubit(text: str | None) -> QubitAmplitudes:
             seed = int(text[len("random:") :])
         except ValueError:
             raise ConfigError(f"bad random qubit seed in {text!r}") from None
-        if seed < 0:
-            raise ConfigError(f"random qubit seed must be nonnegative, got {text!r}")
+        seed = _count("the random qubit seed", seed, 0)
         return QubitAmplitudes.haar_random(np.random.default_rng(seed))
     halves = text.split("+", 1)
     if len(halves) != 2:
@@ -153,10 +155,17 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
-def _check_size(name: str, n: int) -> None:
-    """Refuse a resource size outside 1..RESOURCE_LIMIT before any work."""
-    if not 1 <= n <= RESOURCE_LIMIT:
-        raise ConfigError(f"{name} must be between 1 and {RESOURCE_LIMIT}, got {n}")
+def _count(name: str, value: int, low: int, high: int | None = None) -> int:
+    """:func:`checked_count` for a command-line value; a refusal exits 2.
+
+    Seeds are counts from 0: ``sweep`` seeds row n with seed + n, so the
+    library alone would accept some negative seeds there.  Resource sizes
+    run from 1 to ``RESOURCE_LIMIT``.
+    """
+    try:
+        return checked_count(name, value, low, high)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_inline(body: str, *, squared: bool, renormalize: bool) -> ResourceCoefficients:
@@ -167,7 +176,7 @@ def _parse_inline(body: str, *, squared: bool, renormalize: bool) -> ResourceCoe
     """
     entries = body.split(",")
     # Counted before any entry is converted.
-    _check_size("the inline resource size n", len(entries) - 1)
+    _count("the inline resource size n", len(entries) - 1, 1, RESOURCE_LIMIT)
     try:
         values = [float(v) for v in entries]
     except ValueError:
@@ -179,12 +188,10 @@ def _parse_inline(body: str, *, squared: bool, renormalize: bool) -> ResourceCoe
             return normalize_coefficients(values, renormalize=renormalize)
         except ValueError as exc:
             raise ConfigError(f"bad inline coefficients {body!r}: {exc}") from None
-    if any(v < 0 for v in values):
-        raise ConfigError("squared moduli cannot be negative")
     try:
-        total = math.fsum(values)
-    except OverflowError:
-        raise ConfigError("squared moduli overflow their sum") from None
+        total = math.fsum(checked_weights(values))
+    except ValueError as exc:
+        raise ConfigError(f"bad squared moduli {body!r}: {exc}") from None
     if total == 0.0:
         raise ConfigError("squared moduli cannot all be zero")
     if abs(math.sqrt(total) - 1.0) > COEFF_NORM_TOL and not renormalize:
@@ -200,8 +207,7 @@ def parse_coefficients(args: argparse.Namespace) -> ResourceCoefficients:
     if source == "uniform":
         if args.n is None:
             raise ConfigError("--coeffs uniform requires --n")
-        _check_size("--n", args.n)
-        return ResourceCoefficients.uniform(args.n)
+        return ResourceCoefficients.uniform(_count("--n", args.n, 1, RESOURCE_LIMIT))
     if source.startswith("inline:"):
         rc = _parse_inline(
             source[len("inline:") :], squared=args.squared, renormalize=args.renormalize
@@ -259,16 +265,10 @@ def cmd_teleport(args: argparse.Namespace) -> str:
     qubit = parse_qubit(args.qubit)
     n = rc.n
     if args.oracle:
-        if n > args.oracle_limit:
-            raise ConfigError(
-                f"--oracle supports n <= {args.oracle_limit} (requested n={n}); "
-                "raise --oracle-limit to go bigger"
-            )
-        if n + 1 > MAX_PHOTONS:
-            raise ConfigError(
-                f"--oracle at n={n} simulates {n + 1} photons; "
-                f"the Fock engine holds at most {MAX_PHOTONS}"
-            )
+        try:
+            admit_oracle(n, args.oracle_limit)
+        except ValueError as exc:
+            raise ConfigError(f"--oracle with --oracle-limit {args.oracle_limit}: {exc}") from None
     outcomes = run_analytic(rc, qubit)
     weights = rc.weights()
     rows = []
@@ -299,7 +299,7 @@ def cmd_teleport(args: argparse.Namespace) -> str:
         "qubit": [_complex_pair(qubit.alpha), _complex_pair(qubit.beta)],
         "coefficients": [_complex_pair(a) for a in rc.amplitudes],
         "outcomes": rows,
-        "p_success_total": p_success_total_brute(rc),
+        "p_success_total": adjacent_minima_sum(weights),
     }
     if args.oracle:
         oracle = run_oracle(rc, qubit, limit=args.oracle_limit)
@@ -316,10 +316,10 @@ def cmd_teleport(args: argparse.Namespace) -> str:
 def cmd_psuccess(args: argparse.Namespace) -> str:
     rc = parse_coefficients(args)
     weights = rc.weights()
-    brute = p_success_total_brute(rc)
+    brute = adjacent_minima_sum(weights)
     classification = classify_sequence(weights)
     try:
-        closed = p_success_closed_form(rc)
+        closed = extrema_formula(weights)
         difference = closed - brute
         plateau = False
     except PlateauError:
@@ -345,15 +345,8 @@ def cmd_psuccess(args: argparse.Namespace) -> str:
 _OBJECTIVE_NAMES = {"success": "success", "avgfid": "avg_fidelity"}
 
 
-def _check_seed(seed: int) -> None:
-    # sweep seeds row n with seed + n, so the library alone would accept
-    # some negative seeds there.
-    if seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {seed}")
-
-
 def cmd_optimize(args: argparse.Namespace) -> str:
-    _check_seed(args.seed)
+    _count("--seed", args.seed, 0)
     convention = FailureConvention(args.convention)
     try:
         report = maximize(
@@ -370,9 +363,9 @@ def cmd_optimize(args: argparse.Namespace) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> str:
-    _check_seed(args.seed)
-    _check_size("--n-min", args.n_min)
-    _check_size("--n-max", args.n_max)
+    _count("--seed", args.seed, 0)
+    _count("--n-min", args.n_min, 1, RESOURCE_LIMIT)
+    _count("--n-max", args.n_max, 1, RESOURCE_LIMIT)
     if args.n_max < args.n_min:
         raise ConfigError(
             f"--n-max ({args.n_max}) must not be below --n-min ({args.n_min})"
@@ -388,7 +381,9 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         rows.append(
             {
                 "n": n,
-                "p_success_uniform": p_success_total_brute(ResourceCoefficients.uniform(n)),
+                "p_success_uniform": adjacent_minima_sum(
+                    ResourceCoefficients.uniform(n).weights()
+                ),
                 "avg_fid_uniform": report.certificate["uniform_value"],
                 "avg_fid_optimized": report.best_value,
             }

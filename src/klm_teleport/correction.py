@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import QubitAmplitudes
-from .teleport import ResourceCoefficients
+from .teleport import ResourceCoefficients, checked_weights
 
 
 class PlateauError(ValueError):
@@ -64,12 +64,7 @@ def kraus_for(m: int, rc: ResourceCoefficients) -> KrausPair:
     rides along in the attenuation factor, so the success element maps the
     conditional state exactly onto (alpha, beta) up to normalization.
     """
-    if not 1 <= m <= rc.n:
-        raise ValueError(f"correction applies to success outcomes 1..{rc.n}, got m={m}")
-    c_here = rc.at(m)
-    c_prev = rc.at(m - 1)
-    if c_here == 0 and c_prev == 0:
-        raise ValueError(f"outcome m={m} has zero probability for every input")
+    c_prev, c_here = rc.success_pair(m)
     if abs(c_prev) <= abs(c_here):
         ratio = c_prev / c_here
         success = np.diag([ratio, 1.0])
@@ -84,33 +79,18 @@ def kraus_for(m: int, rc: ResourceCoefficients) -> KrausPair:
 def p_success_given_m(
     m: int, rc: ResourceCoefficients, qubit: QubitAmplitudes
 ) -> float:
-    """Conditional probability that the correction for outcome m succeeds."""
-    p_m = abs(qubit.alpha * rc.at(m)) ** 2 + abs(qubit.beta * rc.at(m - 1)) ** 2
+    """Conditional probability that the correction for success outcome m succeeds."""
+    c_prev, c_here = rc.success_pair(m)
+    p_m = abs(qubit.alpha * c_here) ** 2 + abs(qubit.beta * c_prev) ** 2
     if p_m == 0.0:
         raise ValueError(f"outcome m={m} never occurs for this input")
-    return min(abs(rc.at(m - 1)) ** 2, abs(rc.at(m)) ** 2) / p_m
-
-
-def _checked_weights(weights: Sequence[float]) -> list[float]:
-    """The weights as floats; ``ValueError`` unless two or more, all finite and nonnegative."""
-    ws = [float(w) for w in weights]
-    if len(ws) < 2:
-        raise ValueError("need at least two weights")
-    # NaN fails the comparison, so it is refused too.
-    if not all(0.0 <= w < math.inf for w in ws):
-        raise ValueError("weights must be finite and nonnegative")
-    return ws
+    return min(abs(c_prev) ** 2, abs(c_here) ** 2) / p_m
 
 
 def adjacent_minima_sum(weights: Sequence[float]) -> float:
     """sum_m min(w_{m-1}, w_m), the brute-force total success probability."""
-    ws = _checked_weights(weights)
+    ws = checked_weights(weights)
     return math.fsum(min(a, b) for a, b in zip(ws, ws[1:]))
-
-
-def p_success_total_brute(rc: ResourceCoefficients) -> float:
-    """Input-independent joint success probability, summed pair by pair."""
-    return adjacent_minima_sum(rc.weights())
 
 
 @dataclass(frozen=True)
@@ -128,7 +108,7 @@ class ExtremaClassification:
 
 
 def classify_sequence(weights: Sequence[float]) -> ExtremaClassification:
-    ws = _checked_weights(weights)
+    ws = checked_weights(weights)
     strict = all(a != b for a, b in zip(ws, ws[1:]))
     maxima = []
     minima = []
@@ -147,7 +127,7 @@ def classify_sequence(weights: Sequence[float]) -> ExtremaClassification:
 
 def extrema_formula(weights: Sequence[float]) -> float:
     """p(S) = 1 - sum(maxima) + sum(interior minima); strict sequences only."""
-    ws = [float(w) for w in weights]
+    ws = checked_weights(weights)
     cls = classify_sequence(ws)
     if not cls.strict:
         raise PlateauError(
@@ -157,8 +137,3 @@ def extrema_formula(weights: Sequence[float]) -> float:
     peak_sum = math.fsum(ws[i] for i in cls.maxima)
     valley_sum = math.fsum(ws[i] for i in cls.interior_minima)
     return total - peak_sum + valley_sum
-
-
-def p_success_closed_form(rc: ResourceCoefficients) -> float:
-    """Extrema-formula route to the total success probability."""
-    return extrema_formula(rc.weights())

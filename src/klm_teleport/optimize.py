@@ -35,6 +35,8 @@ from .teleport import (
     RESOURCE_LIMIT,
     OracleMismatchError,
     ResourceCoefficients,
+    checked_count,
+    checked_weights,
     run_analytic,
 )
 
@@ -64,13 +66,7 @@ class SimplexPoint:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ws = tuple(float(w) for w in self.weights)
-        if len(ws) < 2:
-            raise ValueError("need at least two weights (n >= 1)")
-        if not all(math.isfinite(w) for w in ws):
-            raise ValueError("weights must be finite")
-        if any(w < 0 for w in ws):
-            raise ValueError("weights must be nonnegative")
+        ws = tuple(checked_weights(self.weights))
         if abs(math.fsum(ws) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
         object.__setattr__(self, "weights", ws)
@@ -81,17 +77,14 @@ class SimplexPoint:
 
     @classmethod
     def uniform(cls, n: int) -> "SimplexPoint":
-        if n < 1:
-            raise ValueError(f"resource size must be at least 1, got {n}")
+        n = checked_count("resource size n", n)
         vals = [1.0 / (n + 1)] * (n + 1)
         vals[-1] = 1.0 - math.fsum(vals[:-1])
         return cls(tuple(vals))
 
     @classmethod
     def from_unnormalized(cls, values: Iterable[float]) -> "SimplexPoint":
-        vals = [float(v) for v in values]
-        if any(v < 0 for v in vals):
-            raise ValueError("weights must be nonnegative")
+        vals = checked_weights(values)
         total = math.fsum(vals)
         if total <= 0:
             raise ValueError("cannot normalize a zero weight vector")
@@ -200,8 +193,7 @@ def objective_avg_fidelity(
     disagreement raises OracleMismatchError, since one of the two routes must
     then be wrong.
     """
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    samples = checked_count("samples", samples, 2)
     closed = avg_fidelity_closed_form(point, convention)
     rng = np.random.default_rng(seed)
     sums: list[float] = []
@@ -237,16 +229,14 @@ def objective_avg_fidelity(
 
 def optimal_fidelity_profile(n: int) -> SimplexPoint:
     """Weight profile maximizing the average fidelity: w_m ~ sin^2((m+1)pi/(n+2))."""
-    if n < 1:
-        raise ValueError(f"resource size must be at least 1, got {n}")
+    n = checked_count("resource size n", n)
     raw = [math.sin((m + 1) * math.pi / (n + 2)) ** 2 for m in range(n + 1)]
     return SimplexPoint.from_unnormalized(raw)
 
 
 def optimal_avg_fidelity(n: int) -> float:
     """Maximum of the closed form over the simplex: (2 + cos(pi/(n+2))) / 3."""
-    if n < 1:
-        raise ValueError(f"resource size must be at least 1, got {n}")
+    n = checked_count("resource size n", n)
     return (2.0 + math.cos(math.pi / (n + 2))) / 3.0
 
 
@@ -361,8 +351,7 @@ def success_dual_certificate(n: int) -> tuple[list[Fraction], list[Fraction]]:
     # Imported here so that only the success answer loads fractions/decimal.
     from fractions import Fraction
 
-    if n < 1:
-        raise ValueError(f"resource size must be at least 1, got {n}")
+    n = checked_count("resource size n", n)
     bound = Fraction(n, n + 1)
     multipliers = [Fraction(n + 1 - m, n + 1) for m in range(1, n + 1)]
     coefficients = [Fraction(0)] * (n + 1)
@@ -535,14 +524,9 @@ def maximize(
     """
     if objective not in _OBJECTIVES:
         raise ValueError(f"objective must be one of {_OBJECTIVES}, got {objective!r}")
-    if n < 1:
-        raise ValueError(f"resource size must be at least 1, got {n}")
-    if n > RESOURCE_LIMIT:
-        raise ValueError(f"resource size must be at most {RESOURCE_LIMIT}, got {n}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if mc_samples < 2:
-        raise ValueError(f"need at least two Monte Carlo samples, got {mc_samples}")
+    n = checked_count("resource size n", n, 1, RESOURCE_LIMIT)
+    restarts = checked_count("restarts", restarts)
+    mc_samples = checked_count("mc_samples", mc_samples, 2)
     if objective == "avg_fidelity":
         return _maximize_avg_fidelity(n, seed, convention, mc_samples)
 

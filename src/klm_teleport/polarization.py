@@ -40,6 +40,7 @@ from .teleport import (
     ResourceCoefficients,
     TeleportOutcome,
     build_resource_state,
+    checked_count,
     fourier_phase,
     number_branches,
     qubit_state,
@@ -173,7 +174,7 @@ class RotatedPBS:
         if not math.isfinite(self.theta):
             raise ValueError(f"splitter angle must be finite, got {self.theta!r}")
         modes = (self.input_mode, self.reflect_mode, self.transmit_mode)
-        if len(set(modes)) != 3 or any(m < 0 for m in modes):
+        if len(set(modes)) != 3 or any(rail < 0 for rail in modes):
             raise ValueError(f"splitter rails must be distinct and nonnegative, got {modes}")
 
     def reflected_polarization(self) -> tuple[float, float]:
@@ -212,13 +213,9 @@ def run_oracle_polarization(
     and the V slots on rails 1..m, logical V enters on rails m..n and
     0..m-1, so in each polarization the two branches are one cyclic shift
     apart and the phase is ``fourier_phase`` of the per-rail totals h_l + v_l.
+    An n above ``POLARIZATION_ORACLE_LIMIT`` raises ``ValueError`` before any work.
     """
-    n = rc.n
-    if n > POLARIZATION_ORACLE_LIMIT:
-        raise ValueError(
-            f"polarization oracle limited to n <= {POLARIZATION_ORACLE_LIMIT} "
-            f"(requested n={n})"
-        )
+    n = checked_count("polarization oracle size n", rc.n, 1, POLARIZATION_ORACLE_LIMIT)
     branches = [tuple(_dual(occ) for occ in number_branches(n, m)) for m in range(n + 2)]
 
     def outcome_of(pattern: Occupation) -> int:
@@ -244,8 +241,7 @@ def teleported_state(
     rc: ResourceCoefficients, qubit: QubitAmplitudes, m: int
 ) -> PolarizedPhotonState:
     """Conditional single-rail state left by success outcome m."""
-    if not 1 <= m <= rc.n:
-        raise ValueError(f"success outcomes are 1..{rc.n}, got m={m}")
+    rc.success_pair(m)
     conditional = run_analytic(rc, qubit)[m].conditional_qubit
     if conditional is None:
         raise ValueError(f"outcome m={m} never occurs for this input")
@@ -286,13 +282,7 @@ def correction_circuit(
     """
     if teleported.spatial_modes != 1:
         raise ValueError("teleported state must live on a single rail")
-    if not 1 <= m <= rc.n:
-        raise ValueError(f"success outcomes are 1..{rc.n}, got m={m}")
-    c_here = rc.at(m)
-    c_prev = rc.at(m - 1)
-    if c_here == 0 and c_prev == 0:
-        raise ValueError(f"outcome m={m} never occurs; nothing to correct")
-
+    c_prev, c_here = rc.success_pair(m)
     weight_here = abs(c_here) ** 2
     weight_prev = abs(c_prev) ** 2
     if weight_here <= weight_prev:

@@ -26,6 +26,7 @@ import cmath
 import gc
 import json
 import math
+import numbers
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from .fock import (
     measure_photon_counts,
     tensor,
 )
-from .optics import apply, embed, fourier_unitary
+from .optics import MAX_PHOTONS, apply, embed, fourier_unitary
 # Unused here; bench/tracing.py wraps teleport.transition_amplitude by name.
 from .optics import transition_amplitude  # noqa: F401
 
@@ -64,6 +65,62 @@ COEFF_NORM_TOL = 1e-9
 
 class OracleMismatchError(RuntimeError):
     """The exact simulation disagreed with the analytic outcome law."""
+
+
+def checked_count(name: str, value: int, low: int = 1, high: int | None = None) -> int:
+    """``value`` as a plain int; ``ValueError`` unless it is an integer in low..high.
+
+    The one rule for every size and count the package takes: resource sizes,
+    restarts, samples, the coefficient file's ``"n"`` and the oracle limits.
+    ``bool`` and every non-integer, NaN and inf included, are refused; numpy
+    integers pass.  ``high=None`` leaves the count unbounded above.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    count = int(value)
+    if count < low:
+        raise ValueError(f"{name} must be at least {low}, got {count}")
+    if high is not None and count > high:
+        raise ValueError(f"{name} must be at most {high}, got {count}")
+    return count
+
+
+def checked_weights(weights: Iterable[float]) -> list[float]:
+    """The weights as floats; ``ValueError`` unless two or more, all finite and
+    nonnegative, with a sum that a float holds."""
+    try:
+        ws = [float(w) for w in weights]
+    except OverflowError:
+        raise ValueError("a weight overflows a float") from None
+    if len(ws) < 2:
+        raise ValueError("need at least two weights")
+    # NaN fails the comparison, so it is refused too.
+    if not all(0.0 <= w < math.inf for w in ws):
+        raise ValueError("weights must be finite and nonnegative")
+    try:
+        math.fsum(ws)
+    except OverflowError:
+        raise ValueError("weights overflow their sum") from None
+    return ws
+
+
+def admit_oracle(n: int, limit: int) -> None:
+    """``ValueError`` unless the exact oracle may run a size-n resource under ``limit``.
+
+    ``limit`` must be a count of at least 1 and n at most ``limit``, and the
+    n + 1 photons must fit the Fock engine's ``MAX_PHOTONS``.
+    """
+    limit = checked_count("oracle limit", limit)
+    if n > limit:
+        raise ValueError(
+            f"oracle limited to n <= {limit} (requested n={n}); "
+            "raise the limit explicitly to go bigger"
+        )
+    if n + 1 > MAX_PHOTONS:
+        raise ValueError(
+            f"the oracle at n={n} simulates {n + 1} photons; "
+            f"the Fock engine holds at most {MAX_PHOTONS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -97,19 +154,28 @@ class ResourceCoefficients:
         """Moduli squared |c_i|^2, the resource's weight vector."""
         return tuple(abs(a) ** 2 for a in self.amplitudes)
 
+    def success_pair(self, m: int) -> tuple[complex, complex]:
+        """(c_{m-1}, c_m) of success outcome m.
+
+        ``ValueError`` unless m is a count in 1..n and the two coefficients
+        are not both zero, which would make outcome m impossible for every
+        input.
+        """
+        m = checked_count("success outcome m", m, 1, self.n)
+        pair = self.amplitudes[m - 1], self.amplitudes[m]
+        if pair == (0, 0):
+            raise ValueError(f"outcome m={m} never occurs: c_{m - 1} = c_{m} = 0")
+        return pair
+
     @classmethod
     def uniform(cls, n: int) -> "ResourceCoefficients":
-        if n < 1:
-            raise ValueError(f"resource size must be at least 1, got {n}")
+        n = checked_count("resource size n", n)
         value = 1.0 / math.sqrt(n + 1)
         return cls((value,) * (n + 1))
 
     @classmethod
     def from_weights(cls, weights: Iterable[float]) -> "ResourceCoefficients":
-        ws = [float(w) for w in weights]
-        if any(w < 0 for w in ws):
-            raise ValueError("weights must be nonnegative")
-        return cls(tuple(math.sqrt(w) for w in ws))
+        return cls(tuple(math.sqrt(w) for w in checked_weights(weights)))
 
 
 class PatternRecord(NamedTuple):
@@ -408,14 +474,11 @@ def run_oracle(
     transform, photon-counts the first n+1 modes, and hands the patterns to
     :func:`reconcile_outcomes` with their photon total as the outcome m, the
     branch occupations of :func:`number_branches` and phases from
-    :func:`derive_phase_correction`.
+    :func:`derive_phase_correction`.  Raises ``ValueError`` before any work
+    unless :func:`admit_oracle` admits n under ``limit``.
     """
     n = rc.n
-    if n > limit:
-        raise ValueError(
-            f"oracle limited to n <= {limit} (requested n={n}); "
-            "raise the limit explicitly to go bigger"
-        )
+    admit_oracle(n, limit)
     branches = [number_branches(n, m) for m in range(n + 2)]
 
     def phase_of(pattern: Occupation, m: int) -> complex:
@@ -467,12 +530,8 @@ def load_coefficients(
         raise ValueError("coefficient file nests too deeply") from None
     if not isinstance(raw, dict) or "n" not in raw or "c" not in raw:
         raise ValueError("coefficient file must be an object with keys 'n' and 'c'")
-    n = raw["n"]
+    n = checked_count("'n'", raw["n"], 1, RESOURCE_LIMIT)
     entries = raw["c"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"'n' must be a positive integer, got {n!r}")
-    if n > RESOURCE_LIMIT:
-        raise ValueError(f"'n' must be at most {RESOURCE_LIMIT}, got {n}")
     if not isinstance(entries, list) or len(entries) != n + 1:
         raise ValueError(f"'c' must list n+1 = {n + 1} coefficient pairs")
     values = []

@@ -24,7 +24,6 @@ from klm_teleport import (
     optimal_avg_fidelity,
     oracle_deviation,
     p_success_given_m,
-    p_success_total_brute,
     permanent,
     run_analytic,
     run_oracle,
@@ -64,7 +63,7 @@ def test_uniform_success_probability():
     with criterion("uniform-success-probability", 1.0) as info:
         worst = 0.0
         for n in range(1, 9):
-            value = p_success_total_brute(ResourceCoefficients.uniform(n))
+            value = adjacent_minima_sum(ResourceCoefficients.uniform(n).weights())
             worst = max(worst, abs(value - n / (n + 1)))
         assert worst <= 1e-12
         info["detail"] = f"max deviation {worst:.2e} over n=1..8"

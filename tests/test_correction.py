@@ -16,9 +16,7 @@ from klm_teleport import (
     classify_sequence,
     extrema_formula,
     kraus_for,
-    p_success_closed_form,
     p_success_given_m,
-    p_success_total_brute,
 )
 from klm_teleport.teleport import normalize_coefficients
 
@@ -117,8 +115,16 @@ def test_adjacent_minima_sum_frozen():
 @pytest.mark.parametrize("function", [adjacent_minima_sum, classify_sequence, extrema_formula])
 @pytest.mark.parametrize(
     "weights",
-    [(math.nan, 0.5, 0.5), (math.inf, 0.2, 0.1), (0.6, -math.inf, 0.4), (0.5, -0.1, 0.6), (1.0,)],
-    ids=["nan", "inf", "-inf", "negative", "one-entry"],
+    [
+        (math.nan, 0.5, 0.5),
+        (math.inf, 0.2, 0.1),
+        (0.6, -math.inf, 0.4),
+        (0.5, -0.1, 0.6),
+        (1.0,),
+        (1e308,) * 3,
+        (10**400, 0.5),
+    ],
+    ids=["nan", "inf", "-inf", "negative", "one-entry", "sum-overflows", "entry-overflows"],
 )
 def test_weight_sequence_functions_refuse_invalid_weights(function, weights):
     with pytest.raises(ValueError) as excinfo:
@@ -130,7 +136,7 @@ def test_weight_sequence_functions_refuse_invalid_weights(function, weights):
 def test_brute_success_uniform_is_n_over_n_plus_one():
     for n in range(1, 9):
         rc = ResourceCoefficients.uniform(n)
-        assert abs(p_success_total_brute(rc) - n / (n + 1)) < 1e-12
+        assert abs(adjacent_minima_sum(rc.weights()) - n / (n + 1)) < 1e-12
 
 
 def test_classify_sequence_frozen_cases():
@@ -183,13 +189,13 @@ def test_closed_form_matches_brute_force():
     for n in (2, 3, 5, 8):
         for _ in range(50):
             weights = random_strict_weights(n, rng)
-            rc = ResourceCoefficients.from_weights(weights)
-            assert abs(p_success_closed_form(rc) - p_success_total_brute(rc)) < 1e-12
+            ws = ResourceCoefficients.from_weights(weights).weights()
+            assert abs(extrema_formula(ws) - adjacent_minima_sum(ws)) < 1e-12
 
 
 def test_closed_form_raises_on_uniform():
     with pytest.raises(PlateauError):
-        p_success_closed_form(ResourceCoefficients.uniform(3))
+        extrema_formula(ResourceCoefficients.uniform(3).weights())
 
 
 @settings(max_examples=200, deadline=None)

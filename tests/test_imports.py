@@ -1,4 +1,5 @@
-"""Static checks: every import in the package's modules is used, and no code is dead.
+"""Static checks: every import in the package's modules is used, no code is dead,
+and each input rule has one owner.
 
 Parses each ``src/klm_teleport/*.py`` with ``ast`` (stdlib only) and fails on
 an imported name that the module never reads.  ``__init__.py`` re-exports,
@@ -12,7 +13,12 @@ other than ``__init__.py``, or be allowed in ``UNREAD_PUBLIC_ALLOWED`` with
 the reason it stays.  Methods are listed as ``Class.method`` and count as
 read when any module reads an attribute of that name.  Finally it fails on a
 parameter of any function, method or nested function that its body never
-loads; ``self``, ``cls`` and ``_``-prefixed names are exempt.
+loads; ``self``, ``cls`` and ``_``-prefixed names are exempt.  It also fails
+on an ``if`` that compares a bare size, outcome or count name (``COUNT_NAMES``)
+and raises ``ValueError`` or ``ConfigError``: such rules belong to the owners
+in ``teleport.py`` (``checked_count``, ``ResourceCoefficients.success_pair``,
+``admit_oracle``), and any other function that states one must be allowed in
+``COUNT_RULES_ALLOWED`` with the reason.
 """
 
 import ast
@@ -298,4 +304,103 @@ def test_checker_sees_unread_parameters():
         ("stored", "a", 3),
         ("inner", "b", 5),
         ("build", "size", 10),
+    ]
+
+
+#: Names of sizes, outcomes and counts, whose rules ``teleport.py`` states once.
+COUNT_NAMES = {"n", "m", "limit", "samples", "mc_samples", "restarts", "seed"}
+#: Functions that may compare one of COUNT_NAMES and raise, each with the reason.
+#: ``checked_count`` and ``success_pair`` compare only their own locals.
+COUNT_RULES_ALLOWED = {
+    "teleport.py:admit_oracle": "the owner of oracle admission",
+    "teleport.py:derive_phase_correction": "runs once per detection pattern and the "
+    "benchmark wraps it by name, so it keeps its own m check",
+}
+
+
+def _compares_a_count(test: ast.expr) -> bool:
+    return any(
+        isinstance(node, ast.Compare)
+        and any(
+            isinstance(operand, ast.Name) and operand.id in COUNT_NAMES
+            for operand in (node.left, *node.comparators)
+        )
+        for node in ast.walk(test)
+    )
+
+
+def _raises_a_refusal(body: list[ast.stmt]) -> bool:
+    for statement in body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "ConfigError"):
+                    return True
+    return False
+
+
+def _count_rule_copies(tree: ast.AST):
+    """(function, line) of each ``if`` that compares a count name and raises a refusal.
+
+    The function is the enclosing definition's dotted name, ``Class.method``
+    for a method; an ``if`` at module level has the name ``""``.
+    """
+
+    def visit(node: ast.AST, scope: tuple[str, ...]):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if (
+            isinstance(node, ast.If)
+            and _compares_a_count(node.test)
+            and _raises_a_refusal(node.body)
+        ):
+            yield ".".join(scope), node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    yield from visit(tree, ())
+
+
+def test_input_rules_have_one_owner():
+    found = [
+        (f"{path.name}:{function}", line)
+        for path in MODULES
+        for function, line in _count_rule_copies(ast.parse(path.read_text()))
+    ]
+    copies = [f"{where} (line {line})" for where, line in found if where not in COUNT_RULES_ALLOWED]
+    assert not copies, (
+        f"size, outcome or count rules stated outside their owners: {', '.join(copies)}; "
+        "call teleport.checked_count, ResourceCoefficients.success_pair or "
+        "teleport.admit_oracle instead, or allow the function in COUNT_RULES_ALLOWED"
+    )
+    stale = sorted(COUNT_RULES_ALLOWED.keys() - {where for where, _ in found})
+    assert not stale, f"allowed functions that state no count rule: {', '.join(stale)}"
+
+
+def test_checker_sees_a_count_rule_copy():
+    source = (
+        "def size(n):\n"
+        "    if n < 1:\n"
+        "        raise ValueError(n)\n"
+        "def parse(args, seed):\n"
+        "    if args.n > 3 or len(args.c) != 2:\n"
+        "        raise ValueError\n"
+        "    if not 0 <= seed:\n"
+        "        raise ConfigError(seed) from None\n"
+        "class Box:\n"
+        "    def outcome(self, m):\n"
+        "        if m == 0:\n"
+        "            return None\n"
+        "        if m > self.n:\n"
+        "            raise RuntimeError(m)\n"
+        "        if m + 1 > 3:\n"
+        "            raise ValueError(m)\n"
+        "        def inner(limit):\n"
+        "            if limit == m or self.n:\n"
+        "                raise ValueError\n"
+    )
+    assert list(_count_rule_copies(ast.parse(source))) == [
+        ("size", 2),
+        ("parse", 7),
+        ("Box.outcome.inner", 18),
     ]

@@ -59,6 +59,8 @@ def test_simplex_point_constructors():
         SimplexPoint.from_unnormalized([0.0, 0.0])
     with pytest.raises(ValueError):
         SimplexPoint.from_unnormalized([1.0, -0.5])
+    with pytest.raises(ValueError, match="overflow"):
+        SimplexPoint.from_unnormalized([1e308] * 3)
     with pytest.raises(ValueError, match="at least 1"):
         SimplexPoint.uniform(0)
 
@@ -120,7 +122,7 @@ def test_objective_avg_fidelity_matches_closed_form():
     again = objective_avg_fidelity(point, samples=200_000, seed=11)
     assert again.estimate == estimate.estimate
     assert again.std_error == estimate.std_error
-    with pytest.raises(ValueError, match="two samples"):
+    with pytest.raises(ValueError, match="samples must be at least 2"):
         objective_avg_fidelity(point, samples=1, seed=11)
 
 

@@ -237,7 +237,7 @@ def test_polarization_oracle_agrees_with_law():
 
 
 def test_polarization_oracle_refuses_large_n():
-    with pytest.raises(ValueError, match="n <= 5"):
+    with pytest.raises(ValueError, match="at most 5"):
         run_oracle_polarization(ResourceCoefficients.uniform(6), balanced())
     with pytest.raises(TypeError, match="limit"):
         run_oracle_polarization(ResourceCoefficients.uniform(6), balanced(), limit=6)

@@ -22,15 +22,23 @@ from klm_teleport import (
     PureState,
     QubitAmplitudes,
     ResourceCoefficients,
+    SimplexPoint,
     build_resource_state,
+    correction_circuit,
     derive_phase_correction,
     dual_rail,
     fourier_unitary,
+    kraus_for,
     load_coefficients,
+    maximize,
+    objective_avg_fidelity,
+    optimal_avg_fidelity,
     oracle_deviation,
+    p_success_given_m,
     run_analytic,
     run_oracle,
     run_oracle_polarization,
+    teleported_state,
     tensor,
     transition_amplitude,
 )
@@ -59,6 +67,8 @@ def test_resource_coefficients_validation():
         ResourceCoefficients((1.0, 1.0))
     with pytest.raises(ValueError):
         ResourceCoefficients.from_weights([0.5, -0.5, 1.0])
+    with pytest.raises(ValueError, match="overflow"):
+        ResourceCoefficients.from_weights([1e308] * 3)
     with pytest.raises(ValueError):
         normalize_coefficients([0.0, 0.0], renormalize=True)
     with pytest.raises(ValueError):
@@ -601,3 +611,55 @@ def test_oracle_probability_aggregation_property(seed, n):
     analytic = run_analytic(rc, q)
     for law, sim in zip(analytic, oracle):
         assert sim.probability == pytest.approx(law.probability, abs=1e-10)
+
+
+def _success_report(n):
+    return maximize("success", n, restarts=1).as_dict()
+
+
+def _circuit_success(m):
+    return correction_circuit(m, WORKED, teleported_state(WORKED, balanced(), 1)).p_success
+
+
+@pytest.mark.parametrize(
+    ("function", "bad", "good"),
+    [
+        (_success_report, math.nan, 2),
+        (_success_report, 2.5, 2),
+        (_success_report, True, 2),
+        (optimal_avg_fidelity, 2.5, 2),
+        (SimplexPoint.uniform, 2.5, 3),
+        (ResourceCoefficients.uniform, 2.5, 3),
+        (lambda m: kraus_for(m, WORKED).success.tolist(), 1.0, 1),
+        (lambda m: teleported_state(WORKED, balanced(), m).mode_amplitudes(0), 1.0, 2),
+        (_circuit_success, 1.5, 1),
+        (lambda limit: [o.probability for o in run_oracle(WORKED, balanced(), limit=limit)],
+         math.nan, 2),
+        (lambda restarts: maximize("success", 2, restarts=restarts).as_dict(), 1.5, 1),
+        (lambda samples: objective_avg_fidelity(SimplexPoint.uniform(2), samples=samples),
+         2.5, 1_000),
+        (lambda m: p_success_given_m(m, WORKED, balanced()), 0, 1),
+        (lambda m: p_success_given_m(m, WORKED, balanced()), 3, 2),
+    ],
+    ids=[
+        "maximize-n-nan",
+        "maximize-n-float",
+        "maximize-n-bool",
+        "optimal_avg_fidelity-n",
+        "SimplexPoint.uniform-n",
+        "ResourceCoefficients.uniform-n",
+        "kraus_for-m",
+        "teleported_state-m",
+        "correction_circuit-m",
+        "run_oracle-limit",
+        "maximize-restarts",
+        "objective_avg_fidelity-samples",
+        "p_success_given_m-m0",
+        "p_success_given_m-m-n+1",
+    ],
+)
+def test_sizes_outcomes_and_counts_must_be_integers_in_range(function, bad, good):
+    with pytest.raises(ValueError):
+        function(bad)
+    # A numpy integer is an integer: it passes and gives the plain int's result.
+    assert function(np.int64(good)) == function(good)
