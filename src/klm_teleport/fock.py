@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -29,6 +30,34 @@ OUTCOME_EPS = 1e-15
 NORM_TOL = 1e-12
 #: Deviation from unit norm that ``PureState.require_normalized`` accepts.
 STATE_NORM_TOL = 1e-9
+
+
+def checked_count(name: str, value: int, low: int = 1, high: int | None = None) -> int:
+    """``value`` as a plain int; ``ValueError`` unless it is an integer in low..high.
+
+    The one rule for every size and count the package takes: photon counts,
+    resource sizes, outcomes, restarts, samples, seeds, the coefficient
+    file's ``"n"`` and the oracle limits.  ``bool`` and every non-integer,
+    NaN and inf included, are refused; numpy integers pass.  ``high=None``
+    leaves the count unbounded above.
+    """
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
+    return value
+
+
+def squared_norm(amplitudes: Iterable[complex], what: str) -> float:
+    """``fsum`` of |a|^2; ``ValueError`` naming ``what`` if it overflows a float."""
+    try:
+        return math.fsum(abs(a) ** 2 for a in amplitudes)
+    except OverflowError:
+        raise ValueError(f"{what} norm overflows a float") from None
 
 
 def _significant(terms: Iterable[tuple[Occupation, complex]]) -> dict[Occupation, complex]:
@@ -48,11 +77,10 @@ def _significant(terms: Iterable[tuple[Occupation, complex]]) -> dict[Occupation
 class PureState:
     """Sparse multimode pure state: occupation tuple -> complex amplitude.
 
-    The constructor refuses an occupation of the wrong length, a negative
-    photon count and a NaN or infinite amplitude.  Zero amplitudes are kept
-    out of the map by the constructors below; ``mode_count == 0`` is allowed
-    and describes the trivial (fully measured) remainder with the single key
-    ``()``.
+    The constructor refuses an occupation of the wrong length, a photon count
+    that :func:`checked_count` refuses and a NaN or infinite amplitude.  Zero
+    amplitudes are kept out of the map by the constructors below;
+    ``mode_count == 0`` describes the fully measured remainder, key ``()``.
     """
 
     mode_count: int
@@ -64,8 +92,9 @@ class PureState:
         for occ, amp in self.amplitudes.items():
             if len(occ) != self.mode_count:
                 raise ValueError(f"occupation {occ} does not match mode count {self.mode_count}")
-            if any(k < 0 for k in occ):
-                raise ValueError(f"negative photon count in occupation {occ}")
+            if not all(type(k) is int and k >= 0 for k in occ):
+                for k in occ:
+                    checked_count(f"photon count in occupation {occ}", k, 0)
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude {amp!r} of occupation {occ} is not finite")
 
@@ -84,7 +113,7 @@ class PureState:
 
     @classmethod
     def basis_state(cls, occupation: Iterable[int]) -> "PureState":
-        occ = tuple(int(k) for k in occupation)
+        occ = tuple(checked_count("photon count", k, 0) for k in occupation)
         return cls(len(occ), {occ: 1.0 + 0j})
 
     @classmethod
@@ -99,7 +128,7 @@ class PureState:
         return self.amplitudes.get(tuple(occupation), 0j)
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(squared_norm(self.amplitudes.values(), "state"))
 
     def require_normalized(self) -> None:
         dev = abs(self.norm() - 1.0)
@@ -164,7 +193,10 @@ class QubitAmplitudes:
         object.__setattr__(self, "beta", complex(self.beta))
         if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
             raise ValueError("qubit amplitudes must be finite")
-        dev = abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0)
+        try:
+            dev = abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0)
+        except OverflowError:
+            raise ValueError("qubit norm overflows a float") from None
         if dev > NORM_TOL:
             raise ValueError(f"qubit amplitudes are not normalized (deviation {dev:.3e})")
 

@@ -194,6 +194,7 @@ def objective_avg_fidelity(
     then be wrong.
     """
     samples = checked_count("samples", samples, 2)
+    seed = checked_count("seed", seed, 0)
     closed = avg_fidelity_closed_form(point, convention)
     rng = np.random.default_rng(seed)
     sums: list[float] = []
@@ -527,6 +528,7 @@ def maximize(
     n = checked_count("resource size n", n, 1, RESOURCE_LIMIT)
     restarts = checked_count("restarts", restarts)
     mc_samples = checked_count("mc_samples", mc_samples, 2)
+    seed = checked_count("seed", seed, 0)
     if objective == "avg_fidelity":
         return _maximize_avg_fidelity(n, seed, convention, mc_samples)
 

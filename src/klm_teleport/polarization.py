@@ -39,11 +39,10 @@ from .teleport import (
     OracleMismatchError,
     ResourceCoefficients,
     TeleportOutcome,
-    build_resource_state,
+    branch_table,
     checked_count,
     fourier_phase,
-    number_branches,
-    qubit_state,
+    protocol_input,
     reconcile_outcomes,
     run_analytic,
 )
@@ -203,11 +202,11 @@ def run_oracle_polarization(
 ) -> list[TeleportOutcome]:
     """Exact slot-space simulation of the polarization protocol.
 
-    The dual rail of the number-encoded input x resource passes the doubled
-    Fourier transform F (x) 1 on rails 0..n.  Every measured slot is counted,
-    a pattern that does not detect all n+1 photons is refused, and
+    The dual rail of the number-encoded :func:`protocol_input` passes the
+    doubled Fourier transform F (x) 1 on rails 0..n.  Every measured slot is
+    counted, a pattern that does not detect all n+1 photons is refused, and
     :func:`reconcile_outcomes` checks the patterns, grouped by their vertical
-    total m, against the dual rail of the number-encoded branch occupations.
+    total m, against the dual rail of the number encoding's :func:`branch_table`.
     The corrective phase is a formula of the pattern, never read from the
     simulated amplitudes: logical H enters the H slots on rails {0, m+1..n}
     and the V slots on rails 1..m, logical V enters on rails m..n and
@@ -216,7 +215,7 @@ def run_oracle_polarization(
     An n above ``POLARIZATION_ORACLE_LIMIT`` raises ``ValueError`` before any work.
     """
     n = checked_count("polarization oracle size n", rc.n, 1, POLARIZATION_ORACLE_LIMIT)
-    branches = [tuple(_dual(occ) for occ in number_branches(n, m)) for m in range(n + 2)]
+    branches = [tuple(map(_dual, entry)) for entry in branch_table(n)]
 
     def outcome_of(pattern: Occupation) -> int:
         if sum(pattern) != n + 1:
@@ -229,7 +228,7 @@ def run_oracle_polarization(
         return fourier_phase(tuple(map(add, pattern[0::2], pattern[1::2])))
 
     def counted():
-        state = dual_rail(tensor(qubit_state(qubit), build_resource_state(rc)))
+        state = dual_rail(protocol_input(rc, qubit))
         doubled = ModeUnitary(np.kron(fourier_unitary(n + 1).matrix, np.eye(2)))
         transform = embed(doubled, state.mode_count)
         return measure_photon_counts(apply(transform, state), 2 * (n + 1))

@@ -1,10 +1,11 @@
 """Teleportation of a vacuum/one-photon qubit through a tunable entangled resource.
 
 The resource over 2n modes is a superposition of n+1 terms; term i occupies
-the first i modes of the front half and the last n-i modes of the back half,
-weighted by coefficient c_i.  The input qubit plus the front half pass through
-an (n+1)-point Fourier mode transform and are photon-counted.  Detecting m
-photons in total leaves mode n+m carrying
+the first i front modes and the last n-i back modes, weighted by coefficient
+c_i.  ``_resource_term`` states this layout; the resource, both oracles' input
+(``protocol_input``) and their ``branch_table`` derive from it.  The input
+qubit plus the front half pass through an (n+1)-point Fourier mode transform
+and are photon-counted.  Detecting m photons in total leaves mode n+m carrying
 
     (alpha * c_m |0> + beta * c_{m-1} |1>) / sqrt(p(m)),
     p(m) = |alpha * c_m|^2 + |beta * c_{m-1}|^2,
@@ -26,7 +27,6 @@ import cmath
 import gc
 import json
 import math
-import numbers
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,7 +41,9 @@ from .fock import (
     Occupation,
     PureState,
     QubitAmplitudes,
+    checked_count,
     measure_photon_counts,
+    squared_norm,
     tensor,
 )
 from .optics import MAX_PHOTONS, apply, embed, fourier_unitary
@@ -65,24 +67,6 @@ COEFF_NORM_TOL = 1e-9
 
 class OracleMismatchError(RuntimeError):
     """The exact simulation disagreed with the analytic outcome law."""
-
-
-def checked_count(name: str, value: int, low: int = 1, high: int | None = None) -> int:
-    """``value`` as a plain int; ``ValueError`` unless it is an integer in low..high.
-
-    The one rule for every size and count the package takes: resource sizes,
-    restarts, samples, the coefficient file's ``"n"`` and the oracle limits.
-    ``bool`` and every non-integer, NaN and inf included, are refused; numpy
-    integers pass.  ``high=None`` leaves the count unbounded above.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    count = int(value)
-    if count < low:
-        raise ValueError(f"{name} must be at least {low}, got {count}")
-    if high is not None and count > high:
-        raise ValueError(f"{name} must be at most {high}, got {count}")
-    return count
 
 
 def checked_weights(weights: Iterable[float]) -> list[float]:
@@ -136,7 +120,7 @@ class ResourceCoefficients:
         if not all(cmath.isfinite(a) for a in amps):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "amplitudes", amps)
-        dev = abs(math.fsum(abs(a) ** 2 for a in amps) - 1.0)
+        dev = abs(squared_norm(amps, "coefficient") - 1.0)
         if dev > NORM_TOL:
             raise ValueError(f"coefficients are not normalized (deviation {dev:.3e})")
 
@@ -204,26 +188,27 @@ class TeleportOutcome:
     patterns: tuple[PatternRecord, ...] | None = None
 
 
-def qubit_state(qubit: QubitAmplitudes) -> PureState:
-    """Single-mode state alpha |0> + beta |1>."""
-    return PureState.from_terms(1, {(0,): qubit.alpha, (1,): qubit.beta})
+def _resource_term(n: int, i: int) -> Occupation:
+    """Resource term i over 2n modes: a photon in the first i front and the last n-i back modes."""
+    return (1,) * i + (0,) * n + (1,) * (n - i)
 
 
 def build_resource_state(rc: ResourceCoefficients) -> PureState:
-    """Entangled resource over 2n modes.
+    """Entangled resource over 2n modes: c_i times term i (:func:`_resource_term`)."""
+    terms = {_resource_term(rc.n, i): c for i, c in enumerate(rc.amplitudes)}
+    return PureState.from_terms(2 * rc.n, terms)
 
-    Term i occupies modes 0..i-1 of the front half and modes n+i..2n-1 of the
-    back half with one photon each.
-    """
-    n = rc.n
-    terms: dict[Occupation, complex] = {}
-    for i, coeff in enumerate(rc.amplitudes):
-        occ = tuple(
-            1 if (j < i or n + i <= j) else 0
-            for j in range(2 * n)
-        )
-        terms[occ] = coeff
-    return PureState.from_terms(2 * n, terms)
+
+def protocol_input(rc: ResourceCoefficients, qubit: QubitAmplitudes) -> PureState:
+    """Both oracles' input over 2n+1 modes: alpha |0> + beta |1> on mode 0, then the resource."""
+    qubit_mode = PureState.from_terms(1, {(0,): qubit.alpha, (1,): qubit.beta})
+    return tensor(qubit_mode, build_resource_state(rc))
+
+
+def branch_table(n: int) -> tuple[tuple[Occupation, ...], ...]:
+    """Entry m = 0 .. n+1: the back halves of resource terms m and m-1 (logical 0, 1) that exist."""
+    back = [_resource_term(n, i)[n:] for i in range(n + 1)]
+    return tuple(tuple(back[i] for i in (m, m - 1) if 0 <= i <= n) for m in range(n + 2))
 
 
 def run_analytic(rc: ResourceCoefficients, qubit: QubitAmplitudes) -> list[TeleportOutcome]:
@@ -311,8 +296,7 @@ def derive_phase_correction(
     full interferometer simulation.
     """
     points = len(rc.amplitudes)
-    if not 1 <= m < points:
-        raise ValueError(f"phase correction applies to success outcomes, got m={m}")
+    m = checked_count("success outcome m", m, 1, points - 1)
     if len(pattern) != points or sum(pattern) != m:
         raise ValueError(f"pattern {pattern} does not detect m={m} photons on {points} modes")
     return fourier_phase(pattern)
@@ -333,8 +317,8 @@ def reconcile_outcomes(
     outcomes; ``outcome_of(pattern)``, the outcome m of a pattern, which
     raises OracleMismatchError for a pattern the encoding cannot produce;
     ``branches[m]``, the branch occupations of the unmeasured modes for
-    m = 0 .. n+1 (the lone spectator occupation of a failure, or the
-    logical-zero and logical-one occupations of a success); and
+    m = 0 .. n+1 (:func:`branch_table`: the lone spectator occupation of a
+    failure, or the logical-zero and logical-one occupations of a success); and
     ``phase_of(pattern, m)``, the unit factor on the logical-one amplitude of
     a success pattern, which sees only the pattern so that it cannot borrow
     the phase from the simulation it checks.
@@ -446,22 +430,6 @@ def reconcile_outcomes(
     return outcomes
 
 
-def number_branches(n: int, m: int) -> tuple[Occupation, ...]:
-    """Unmeasured-mode occupations the conditional state may hold at outcome m.
-
-    Failures leave spectators only: every back mode occupied at m = 0, none at
-    m = n+1.  Success m puts the qubit on unmeasured mode m-1 (global mode
-    n+m) with the n-m modes after it occupied; logical 0 first, then 1.
-    """
-    if m == 0:
-        return ((1,) * n,)
-    if m == n + 1:
-        return ((0,) * n,)
-    base = (0,) * (m - 1)
-    tail = (1,) * (n - m)
-    return base + (0,) + tail, base + (1,) + tail
-
-
 def run_oracle(
     rc: ResourceCoefficients,
     qubit: QubitAmplitudes,
@@ -470,26 +438,24 @@ def run_oracle(
 ) -> list[TeleportOutcome]:
     """Exact Fock-space simulation of the protocol, reconciled pattern by pattern.
 
-    Builds input qubit x resource, applies the embedded (n+1)-point Fourier
+    Builds :func:`protocol_input`, applies the embedded (n+1)-point Fourier
     transform, photon-counts the first n+1 modes, and hands the patterns to
     :func:`reconcile_outcomes` with their photon total as the outcome m, the
-    branch occupations of :func:`number_branches` and phases from
+    branch occupations of :func:`branch_table` and phases from
     :func:`derive_phase_correction`.  Raises ``ValueError`` before any work
     unless :func:`admit_oracle` admits n under ``limit``.
     """
     n = rc.n
     admit_oracle(n, limit)
-    branches = [number_branches(n, m) for m in range(n + 2)]
 
     def phase_of(pattern: Occupation, m: int) -> complex:
         return derive_phase_correction(pattern, m, rc)
 
     def counted():
-        protocol_state = tensor(qubit_state(qubit), build_resource_state(rc))
         transform = embed(fourier_unitary(n + 1), 2 * n + 1)
-        return measure_photon_counts(apply(transform, protocol_state), n + 1)
+        return measure_photon_counts(apply(transform, protocol_input(rc, qubit)), n + 1)
 
-    return reconcile_outcomes(rc, qubit, counted, sum, branches, phase_of)
+    return reconcile_outcomes(rc, qubit, counted, sum, branch_table(n), phase_of)
 
 
 def oracle_deviation(
@@ -562,10 +528,7 @@ def normalize_coefficients(
     tolerance but divided by their sum.  ``ResourceCoefficients.from_weights``
     bypasses it too and takes weights that already sum to 1.
     """
-    try:
-        square = math.fsum(abs(v) ** 2 for v in values)
-    except OverflowError:
-        raise ValueError("coefficient norm overflows a float") from None
+    square = squared_norm(values, "coefficient")
     if square < sys.float_info.min:
         if any(values):
             raise ValueError("coefficient norm underflows a float")

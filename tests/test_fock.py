@@ -45,6 +45,15 @@ def test_pure_state_validates_occupations():
         PureState(2, {(1, -1): 1.0})
     with pytest.raises(ValueError):
         PureState(-1, {})
+    for bad in (0.5, True, 1.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PureState(2, {(bad, 1 - bad): 1.0})
+    with pytest.raises(ValueError, match="must be an integer"):
+        PureState.basis_state((1.9, 0))
+    with pytest.raises(ValueError, match="at least 0"):
+        PureState.basis_state((np.int64(-1), 0))
+    assert PureState(2, {(np.int64(1), 0): 1.0}).amplitude((1, 0)) == 1.0
+    assert PureState.basis_state((np.int64(1), 0)).amplitudes == {(1, 0): 1.0}
 
 
 def test_from_terms_prunes_negligible_amplitudes():
@@ -178,6 +187,8 @@ def test_qubit_amplitudes_enforce_normalization():
         QubitAmplitudes.from_unnormalized(0.0, 0.0)
     with pytest.raises(ValueError, match="finite"):
         QubitAmplitudes(float("nan"), 1.0)
+    with pytest.raises(ValueError, match="overflows a float"):
+        QubitAmplitudes(1e200, 0)
 
 
 @pytest.mark.parametrize(

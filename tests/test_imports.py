@@ -16,8 +16,9 @@ parameter of any function, method or nested function that its body never
 loads; ``self``, ``cls`` and ``_``-prefixed names are exempt.  It also fails
 on an ``if`` that compares a bare size, outcome or count name (``COUNT_NAMES``)
 and raises ``ValueError`` or ``ConfigError``: such rules belong to the owners
-in ``teleport.py`` (``checked_count``, ``ResourceCoefficients.success_pair``,
-``admit_oracle``), and any other function that states one must be allowed in
+(``checked_count`` in ``fock.py``, re-exported by ``teleport.py``;
+``ResourceCoefficients.success_pair`` and ``admit_oracle`` in ``teleport.py``),
+and any other function that states one must be allowed in
 ``COUNT_RULES_ALLOWED`` with the reason.
 """
 
@@ -313,8 +314,8 @@ COUNT_NAMES = {"n", "m", "limit", "samples", "mc_samples", "restarts", "seed"}
 #: ``checked_count`` and ``success_pair`` compare only their own locals.
 COUNT_RULES_ALLOWED = {
     "teleport.py:admit_oracle": "the owner of oracle admission",
-    "teleport.py:derive_phase_correction": "runs once per detection pattern and the "
-    "benchmark wraps it by name, so it keeps its own m check",
+    "teleport.py:derive_phase_correction": "m goes through checked_count; the pattern "
+    "check compares the pattern's photon total with m",
 }
 
 

@@ -293,6 +293,8 @@ def test_apply_requires_matching_dimension_and_normalization():
         apply(ModeUnitary(np.eye(2)), nan_norm)
     with pytest.raises(ValueError, match="not normalized"):
         measure_photon_counts(nan_norm, 1)
+    with pytest.raises(ValueError, match="overflows a float"):
+        apply(fourier_unitary(1), PureState(1, {(1,): 1e200}))
 
 
 def test_apply_handles_39_photons_per_term_and_refuses_40():

@@ -39,14 +39,13 @@ from klm_teleport import (
     run_oracle,
     run_oracle_polarization,
     teleported_state,
-    tensor,
     transition_amplitude,
 )
 from klm_teleport.teleport import (
+    branch_table,
     fourier_phase,
     normalize_coefficients,
-    number_branches,
-    qubit_state,
+    protocol_input,
 )
 
 from helpers import enumerate_basis, random_coefficients, random_qubit
@@ -76,6 +75,8 @@ def test_resource_coefficients_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             ResourceCoefficients((bad, 1.0))
+    with pytest.raises(ValueError, match="overflows a float"):
+        ResourceCoefficients((1e200, 1.0))
 
 
 def test_resource_coefficients_accessors():
@@ -103,8 +104,19 @@ def test_resource_state_structure():
     assert abs(state2.norm() - 1.0) <= 1e-12
 
 
+def test_branch_table_pins_the_unmeasured_occupations():
+    assert branch_table(3) == (
+        ((1, 1, 1),),
+        ((0, 1, 1), (1, 1, 1)),
+        ((0, 0, 1), (0, 1, 1)),
+        ((0, 0, 0), (0, 0, 1)),
+        ((0, 0, 0),),
+    )
+    assert branch_table(1) == (((1,),), ((0,), (1,)), ((0,),))
+
+
 def test_protocol_input_has_three_modes_and_four_terms_at_n1():
-    state = tensor(qubit_state(balanced()), build_resource_state(ResourceCoefficients.uniform(1)))
+    state = protocol_input(ResourceCoefficients.uniform(1), balanced())
     assert state.mode_count == 3
     assert len(state.amplitudes) == 4
 
@@ -170,6 +182,8 @@ def test_phase_correction_validates_patterns():
         derive_phase_correction((1, 1, 0), 1, rc)
     with pytest.raises(ValueError):
         derive_phase_correction((1, 0), 1, rc)
+    with pytest.raises(ValueError, match="must be an integer"):
+        derive_phase_correction((1, 0, 0), 1.0, rc)
 
 
 def _branch_phase(u, source_zero, source_one, target):
@@ -337,7 +351,7 @@ def _add_a_forbidden_pattern(outcomes, outcome_of, encode):
     # branch occupations, so only the law can refuse it.
     n = GAPPED.n
     pattern = next(iter(encode(PureState.basis_state((1, 1, 1, 0))).amplitudes))
-    branch0, branch1 = number_branches(n, 3)
+    branch0, branch1 = branch_table(n)[3]
     conditional = encode(PureState(n, {branch0: 0.6, branch1: 0.8}))
     outcomes.append(MeasurementOutcome(pattern, 1e-3, conditional))
 
@@ -356,7 +370,7 @@ def _fill_the_empty_branch_at_m2(outcomes, outcome_of, encode):
     # occupation, so the outside-amplitude check cannot see amplitude there.
     index = next(i for i, o in enumerate(outcomes) if outcome_of(o.pattern) == 2)
     pattern, prob, conditional = outcomes[index]
-    logical_zero = number_branches(GAPPED.n, 2)[0]
+    logical_zero = branch_table(GAPPED.n)[2][0]
     (empty,) = encode(PureState.basis_state(logical_zero)).amplitudes
     filled = PureState(conditional.mode_count, {**conditional.amplitudes, empty: 1e-6})
     outcomes[index] = MeasurementOutcome(pattern, prob, filled)
@@ -640,6 +654,10 @@ def _circuit_success(m):
          2.5, 1_000),
         (lambda m: p_success_given_m(m, WORKED, balanced()), 0, 1),
         (lambda m: p_success_given_m(m, WORKED, balanced()), 3, 2),
+        (lambda seed: maximize("avg_fidelity", 2, seed=seed, mc_samples=100).as_dict(), 1.5, 1),
+        (lambda seed: maximize("success", 2, seed=seed, restarts=1).as_dict(), -1, 0),
+        (lambda seed: objective_avg_fidelity(SimplexPoint.uniform(2), samples=1_000, seed=seed),
+         -1, 0),
     ],
     ids=[
         "maximize-n-nan",
@@ -656,6 +674,9 @@ def _circuit_success(m):
         "objective_avg_fidelity-samples",
         "p_success_given_m-m0",
         "p_success_given_m-m-n+1",
+        "maximize-avg_fidelity-seed",
+        "maximize-success-seed",
+        "objective_avg_fidelity-seed",
     ],
 )
 def test_sizes_outcomes_and_counts_must_be_integers_in_range(function, bad, good):
@@ -663,3 +684,19 @@ def test_sizes_outcomes_and_counts_must_be_integers_in_range(function, bad, good
         function(bad)
     # A numpy integer is an integer: it passes and gives the plain int's result.
     assert function(np.int64(good)) == function(good)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: maximize("avg_fidelity", 2, seed=1.5, mc_samples=100),
+        lambda: maximize("success", 2, seed=-1, restarts=1),
+        lambda: objective_avg_fidelity(SimplexPoint.uniform(2), samples=1_000, seed=-1),
+    ],
+    ids=["maximize-float", "maximize-negative", "objective_avg_fidelity-negative"],
+)
+def test_library_seeds_are_refused_by_name(call):
+    # numpy refuses a negative seed too, but only once the work has begun
+    # and without naming it.
+    with pytest.raises(ValueError, match="seed must be"):
+        call()
