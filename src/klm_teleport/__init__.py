@@ -30,7 +30,6 @@ from .fock import (
 from .optics import (
     ModeUnitary,
     apply,
-    embed,
     fourier_unitary,
     permanent,
     transition_amplitude,
@@ -108,7 +107,6 @@ __all__ = [
     "correction_circuit",
     "derive_phase_correction",
     "dual_rail",
-    "embed",
     "extrema_formula",
     "fourier_unitary",
     "kraus_for",

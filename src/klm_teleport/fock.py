@@ -77,18 +77,18 @@ def _significant(terms: Iterable[tuple[Occupation, complex]]) -> dict[Occupation
 class PureState:
     """Sparse multimode pure state: occupation tuple -> complex amplitude.
 
-    The constructor refuses an occupation of the wrong length, a photon count
-    that :func:`checked_count` refuses and a NaN or infinite amplitude.  Zero
-    amplitudes are kept out of the map by the constructors below;
-    ``mode_count == 0`` describes the fully measured remainder, key ``()``.
+    The constructor refuses a mode count or photon count that
+    :func:`checked_count` refuses as a nonnegative integer, an occupation of
+    the wrong length and a NaN or infinite amplitude.  Zero amplitudes are
+    kept out of the map by the constructors below; ``mode_count == 0``
+    describes the fully measured remainder, key ``()``.
     """
 
     mode_count: int
     amplitudes: dict[Occupation, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.mode_count < 0:
-            raise ValueError("mode count must be nonnegative")
+        checked_count("mode count", self.mode_count, 0)
         for occ, amp in self.amplitudes.items():
             if len(occ) != self.mode_count:
                 raise ValueError(f"occupation {occ} does not match mode count {self.mode_count}")
@@ -160,8 +160,7 @@ def measure_photon_counts(state: PureState, measured: int) -> list[MeasurementOu
     recombining sqrt(probability) * pattern x conditional reconstructs the
     input state exactly.  An unnormalized state raises ``ValueError``.
     """
-    if not 1 <= measured <= state.mode_count:
-        raise ValueError(f"measured mode count {measured} is outside 1..{state.mode_count}")
+    measured = checked_count("measured mode count", measured, 1, state.mode_count)
     state.require_normalized()
 
     grouped: dict[Occupation, dict[Occupation, complex]] = {}

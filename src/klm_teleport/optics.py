@@ -6,11 +6,12 @@ transforms by plain matrix-vector multiplication with U.
 
 Two independent routes evaluate the same physics.  ``apply`` evolves a whole
 state by expanding prod_k (sum_l U[l, k] a_l^dag)^{S_k} one photon at a time,
-skipping zero entries of U, so a mode on which U is the identity passes
-through as a single exact term.  It is the package's only Fock engine: both
-oracles evolve their input through it, and so does the polarization
-correction circuit, as one slot unitary.  ``transition_amplitude`` evaluates
-one matrix element as a permanent,
+skipping zero entries of U.  A k-mode U acts on the leading k modes, the ones
+``measure_photon_counts`` measures, and each later mode passes through as a
+single exact term.  It is the package's only Fock engine: both oracles evolve
+their input through it, and so does the polarization correction circuit, as
+one slot unitary.  ``transition_amplitude`` evaluates one matrix element as a
+permanent,
 
     <T| U |S> = per(U[S, T]) / sqrt(prod(S_i!) * prod(T_l!))
 
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import Occupation, PureState, _significant
+from .fock import Occupation, PureState, _significant, checked_count
 
 #: Tolerance for the unitarity check on construction.
 UNITARY_TOL = 1e-12
@@ -77,20 +78,9 @@ class ModeUnitary:
 
 def fourier_unitary(points: int) -> ModeUnitary:
     """Discrete-Fourier mode transform: entry (l, k) = exp(2*pi*i*k*l/points)/sqrt(points)."""
-    if points < 1:
-        raise ValueError(f"point count must be positive, got {points}")
+    points = checked_count("point count", points)
     idx = np.arange(points)
     mat = np.exp(2j * np.pi * np.outer(idx, idx) / points) / math.sqrt(points)
-    return ModeUnitary(mat)
-
-
-def embed(u: ModeUnitary, total_modes: int) -> ModeUnitary:
-    """``u`` on the leading modes of a ``total_modes``-mode interferometer, identity after."""
-    dim = u.dimension
-    if dim > total_modes:
-        raise ValueError(f"a {dim}-mode block does not fit in {total_modes} modes")
-    mat = np.eye(total_modes, dtype=complex)
-    mat[:dim, :dim] = u.matrix
     return ModeUnitary(mat)
 
 
@@ -176,32 +166,39 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
     amplitude of |T>.  Photon number is conserved; amplitudes below the
     pruning threshold are dropped from the result.
 
-    Bounds: the state must be normalized (within 1e-9) and no source term may
-    hold more than ``MAX_PHOTONS`` photons, or ``ValueError`` is raised.
+    A k-mode ``u`` acts on the state's leading k modes.  Each later mode gets
+    the identity column, 1 + 0j on itself, so its photons stay put and every
+    amplitude matches the identity-padded matrix's to the last bit.
+
+    Bounds: ``u`` must fit the state, the state must be normalized (within
+    1e-9) and no source term may hold more than ``MAX_PHOTONS`` photons, or
+    ``ValueError`` is raised.
     While expanding, a monomial is one integer with a byte per mode, mode 0
     most significant, so placing a photon in mode l adds 256^(modes-1-l); the
     photon bound keeps every byte below 256, and integer order is the
     lexicographic order of the occupations.
     """
-    if u.dimension != state.mode_count:
-        raise ValueError(
-            f"unitary acts on {u.dimension} modes but the state has {state.mode_count}"
-        )
+    block = u.dimension
+    modes = state.mode_count
+    if block > modes:
+        raise ValueError(f"a {block}-mode unitary does not fit a {modes}-mode state")
     state.require_normalized()
     heaviest = max(map(sum, state.amplitudes))
     if heaviest > MAX_PHOTONS:
         raise ValueError(
             f"a term holds {heaviest} photons; apply supports at most {MAX_PHOTONS} per term"
         )
-    modes = state.mode_count
     mat = u.matrix
     place = [1 << 8 * (modes - 1 - l) for l in range(modes)]
-    # Only columns of occupied modes are ever read.  Sparsest first: spectator
-    # photons are placed while the expansion is still a single term.
+    # Only columns of occupied modes are ever read; past the block, the
+    # identity's 1 + 0j is multiplied in, not skipped, as it may flip a zero's
+    # sign.  Sparsest first: spectator photons are placed while the expansion
+    # is still a single term.
     occupied = [k for k, counts in enumerate(zip(*state.amplitudes)) if any(counts)]
-    columns = {
-        k: [(place[l], complex(mat[l, k])) for l in np.flatnonzero(mat[:, k])] for k in occupied
-    }
+    columns = {k: [(place[k], 1 + 0j)] for k in occupied if k >= block}
+    for k in occupied:
+        if k < block:
+            columns[k] = [(place[l], complex(mat[l, k])) for l in np.flatnonzero(mat[:, k])]
     order = sorted(occupied, key=lambda k: len(columns[k]))
     targets: dict[int, tuple[Occupation, int]] = {}
     out: dict[int, complex] = {}

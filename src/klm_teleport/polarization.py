@@ -34,7 +34,7 @@ import numpy as np
 
 from . import optics
 from .fock import Occupation, PureState, QubitAmplitudes, measure_photon_counts, tensor
-from .optics import ModeUnitary, apply, embed, fourier_unitary
+from .optics import ModeUnitary, apply, fourier_unitary
 from .teleport import (
     OracleMismatchError,
     ResourceCoefficients,
@@ -56,6 +56,7 @@ POLARIZATION_ORACLE_LIMIT = 5
 
 def slot_index(mode: int, polarization: str) -> int:
     """Fock slot of a (spatial mode, polarization) pair: H first, then V."""
+    mode = checked_count("mode", mode, 0)
     if polarization == HORIZONTAL:
         return 2 * mode
     if polarization == VERTICAL:
@@ -88,6 +89,7 @@ class PolarizedPhotonState:
     state: PureState
 
     def __post_init__(self) -> None:
+        checked_count("rail count", self.spatial_modes)
         if self.state.mode_count != 2 * self.spatial_modes:
             raise ValueError(
                 f"state has {self.state.mode_count} slots; "
@@ -101,7 +103,7 @@ class PolarizedPhotonState:
         amplitudes: Mapping[int, tuple[complex, complex]],
     ) -> "PolarizedPhotonState":
         """One photon spread over rails: mode -> (horizontal, vertical) amplitude."""
-        slots = 2 * spatial_modes
+        slots = 2 * checked_count("rail count", spatial_modes)
         terms: dict[Occupation, complex] = {}
         for mode, (amp_h, amp_v) in amplitudes.items():
             if not 0 <= mode < spatial_modes:
@@ -173,8 +175,10 @@ class RotatedPBS:
         if not math.isfinite(self.theta):
             raise ValueError(f"splitter angle must be finite, got {self.theta!r}")
         modes = (self.input_mode, self.reflect_mode, self.transmit_mode)
-        if len(set(modes)) != 3 or any(rail < 0 for rail in modes):
-            raise ValueError(f"splitter rails must be distinct and nonnegative, got {modes}")
+        for rail in modes:
+            checked_count("splitter rail", rail, 0)
+        if len(set(modes)) != 3:
+            raise ValueError(f"splitter rails must be distinct, got {modes}")
 
     def reflected_polarization(self) -> tuple[float, float]:
         return (math.cos(self.theta), -math.sin(self.theta))
@@ -203,16 +207,17 @@ def run_oracle_polarization(
     """Exact slot-space simulation of the polarization protocol.
 
     The dual rail of the number-encoded :func:`protocol_input` passes the
-    doubled Fourier transform F (x) 1 on rails 0..n.  Every measured slot is
-    counted, a pattern that does not detect all n+1 photons is refused, and
-    :func:`reconcile_outcomes` checks the patterns, grouped by their vertical
-    total m, against the dual rail of the number encoding's :func:`branch_table`.
-    The corrective phase is a formula of the pattern, never read from the
-    simulated amplitudes: logical H enters the H slots on rails {0, m+1..n}
-    and the V slots on rails 1..m, logical V enters on rails m..n and
-    0..m-1, so in each polarization the two branches are one cyclic shift
-    apart and the phase is ``fourier_phase`` of the per-rail totals h_l + v_l.
-    An n above ``POLARIZATION_ORACLE_LIMIT`` raises ``ValueError`` before any work.
+    doubled Fourier transform F (x) 1 on its leading slots, those of rails
+    0..n.  Every slot of the transform is counted, a pattern that does not
+    detect all n+1 photons is refused, and :func:`reconcile_outcomes` checks
+    the patterns, grouped by their vertical total m, against the dual rail of
+    the number encoding's :func:`branch_table`.  The corrective phase is a
+    formula of the pattern, never read from the simulated amplitudes: logical
+    H enters the H slots on rails {0, m+1..n} and the V slots on rails 1..m,
+    logical V enters on rails m..n and 0..m-1, so in each polarization the two
+    branches are one cyclic shift apart and the phase is ``fourier_phase`` of
+    the per-rail totals h_l + v_l.  An n above ``POLARIZATION_ORACLE_LIMIT``
+    raises ``ValueError`` before any work.
     """
     n = checked_count("polarization oracle size n", rc.n, 1, POLARIZATION_ORACLE_LIMIT)
     branches = [tuple(map(_dual, entry)) for entry in branch_table(n)]
@@ -228,10 +233,9 @@ def run_oracle_polarization(
         return fourier_phase(tuple(map(add, pattern[0::2], pattern[1::2])))
 
     def counted():
-        state = dual_rail(protocol_input(rc, qubit))
-        doubled = ModeUnitary(np.kron(fourier_unitary(n + 1).matrix, np.eye(2)))
-        transform = embed(doubled, state.mode_count)
-        return measure_photon_counts(apply(transform, state), 2 * (n + 1))
+        transform = ModeUnitary(np.kron(fourier_unitary(n + 1).matrix, np.eye(2)))
+        evolved = apply(transform, dual_rail(protocol_input(rc, qubit)))
+        return measure_photon_counts(evolved, transform.dimension)
 
     return reconcile_outcomes(rc, qubit, counted, outcome_of, branches, phase_of)
 

@@ -46,7 +46,7 @@ from .fock import (
     squared_norm,
     tensor,
 )
-from .optics import MAX_PHOTONS, apply, embed, fourier_unitary
+from .optics import MAX_PHOTONS, apply, fourier_unitary
 # Unused here; bench/tracing.py wraps teleport.transition_amplitude by name.
 from .optics import transition_amplitude  # noqa: F401
 
@@ -330,18 +330,17 @@ def reconcile_outcomes(
 
     Every pattern, whatever its probability, may hold amplitude only on its
     branch occupations: the norm of the rest must stay within ``ORACLE_TOL``.
-    The check is exact, not a noise bound: the unmeasured modes are identity
-    columns of the embedded transform, so the simulation never places a
-    photon on them and every other occupation is absent, not small.  As both
-    branch occupations of a success share one spectator occupation, passing
-    it also means the state factorizes as spectators x qubit mode.  A
-    success pattern must fall at an m the law gives a conditional qubit, its
-    branch magnitudes must match that qubit's and its phase-corrected qubit
-    must match the qubit itself.  An outcome whose law has a single nonzero
-    branch magnitude has no relative phase: its patterns record ``1 + 0j``
-    and ``phase_of`` is not asked.  The most probable pattern's corrected
-    qubit represents each m, and the aggregated probability of each m must
-    match the law within ``ORACLE_TOL``.  Raises OracleMismatchError on any
+    The check is exact, not a noise bound: the unmeasured modes lie past the
+    transform, where ``apply`` moves no photon, so every other occupation is
+    absent, not small.  As both branch occupations of a success share one
+    spectator occupation, passing it also means the state factorizes as
+    spectators x qubit mode.  A success pattern must fall at an m the law gives
+    a conditional qubit, its branch magnitudes must match that qubit's and its
+    phase-corrected qubit must match the qubit itself.  An outcome whose law has
+    a single nonzero branch magnitude has no relative phase: its patterns record
+    ``1 + 0j`` and ``phase_of`` is not asked.  The most probable pattern's
+    corrected qubit represents each m, and the aggregated probability of each m
+    must match the law within ``ORACLE_TOL``.  Raises OracleMismatchError on any
     disagreement.
     """
     n = rc.n
@@ -438,11 +437,11 @@ def run_oracle(
 ) -> list[TeleportOutcome]:
     """Exact Fock-space simulation of the protocol, reconciled pattern by pattern.
 
-    Builds :func:`protocol_input`, applies the embedded (n+1)-point Fourier
-    transform, photon-counts the first n+1 modes, and hands the patterns to
-    :func:`reconcile_outcomes` with their photon total as the outcome m, the
-    branch occupations of :func:`branch_table` and phases from
-    :func:`derive_phase_correction`.  Raises ``ValueError`` before any work
+    Builds :func:`protocol_input`, evolves its leading n+1 modes (the qubit and
+    the front half) through the (n+1)-point Fourier transform, counts them, and
+    hands the patterns to :func:`reconcile_outcomes` with their photon total as
+    the outcome m, the branch occupations of :func:`branch_table` and phases
+    from :func:`derive_phase_correction`.  Raises ``ValueError`` before any work
     unless :func:`admit_oracle` admits n under ``limit``.
     """
     n = rc.n
@@ -452,8 +451,9 @@ def run_oracle(
         return derive_phase_correction(pattern, m, rc)
 
     def counted():
-        transform = embed(fourier_unitary(n + 1), 2 * n + 1)
-        return measure_photon_counts(apply(transform, protocol_input(rc, qubit)), n + 1)
+        transform = fourier_unitary(n + 1)
+        evolved = apply(transform, protocol_input(rc, qubit))
+        return measure_photon_counts(evolved, transform.dimension)
 
     return reconcile_outcomes(rc, qubit, counted, sum, branch_table(n), phase_of)
 

@@ -3,9 +3,9 @@
 The naive permanent here is the reference implementation the fast Gray-code
 version is checked against; keep it dumb on purpose.  ``enumerate_basis``
 lists every occupation of a photon-number sector, the reference for checks
-that must visit all of them.  ``block_unitary`` places a block on any modes,
-not only the leading ones ``embed`` serves, for tests of ``apply`` with
-identity modes between active ones.
+that must visit all of them.  ``block_unitary`` pads a block with the
+identity on any modes, the full-size reference for ``apply``'s leading-modes
+rule and for tests with identity modes between active ones.
 """
 
 from __future__ import annotations

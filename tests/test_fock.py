@@ -54,6 +54,11 @@ def test_pure_state_validates_occupations():
         PureState.basis_state((np.int64(-1), 0))
     assert PureState(2, {(np.int64(1), 0): 1.0}).amplitude((1, 0)) == 1.0
     assert PureState.basis_state((np.int64(1), 0)).amplitudes == {(1, 0): 1.0}
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="mode count must be an integer"):
+            PureState(bad, {})
+    with pytest.raises(ValueError, match="mode count must be an integer"):
+        PureState(True, {(0,): 1.0})
 
 
 def test_from_terms_prunes_negligible_amplitudes():
@@ -137,14 +142,17 @@ def test_measurement_outcomes_complete_and_reconstruct():
 
 def test_measurement_validates_inputs():
     state = PureState.basis_state((1, 0))
-    for count in (0, -1, 3):
-        with pytest.raises(ValueError, match="outside 1..2"):
+    for count, refusal in ((0, "at least 1"), (-1, "at least 1"), (3, "at most 2")):
+        with pytest.raises(ValueError, match=f"measured mode count must be {refusal}"):
             measure_photon_counts(state, count)
     with pytest.raises(ValueError, match="not normalized"):
         measure_photon_counts(PureState(2, {(1, 0): 2.0}), 1)
     # The former mode-list form is no longer accepted.
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="measured mode count must be an integer"):
         measure_photon_counts(state, [0])
+    for bad in (True, 1.0, 1.5):
+        with pytest.raises(ValueError, match="measured mode count must be an integer"):
+            measure_photon_counts(state, bad)
 
 
 def test_measurement_omits_patterns_below_outcome_eps():

@@ -17,7 +17,6 @@ from klm_teleport import (
     apply,
     build_resource_state,
     dual_rail,
-    embed,
     fourier_unitary,
     measure_photon_counts,
     permanent,
@@ -52,6 +51,9 @@ def test_fourier_unitary_entries():
     assert fourier_unitary(1).matrix[0, 0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         fourier_unitary(0)
+    for bad in (True, 2.0, 2.5):
+        with pytest.raises(ValueError, match="point count must be an integer"):
+            fourier_unitary(bad)
 
 
 def test_mode_unitary_rejects_bad_matrices():
@@ -74,23 +76,23 @@ def test_mode_unitary_rejects_bad_matrices():
                 ModeUnitary(np.array(matrix))
 
 
-def test_embed_places_block_on_leading_modes():
+def test_apply_acts_on_the_leading_modes():
+    # A k-mode block evolves the first k modes exactly as the full-size matrix
+    # padded with the identity does: the same amplitudes, bit for bit, signed
+    # zeros included, in the same order.
+    def assert_same_bits(block, state):
+        padded = block_unitary(block.matrix, range(block.dimension), state.mode_count)
+        assert repr(list(apply(block, state).amplitudes.items())) == repr(
+            list(apply(padded, state).amplitudes.items())
+        )
+
     rng = np.random.default_rng(7)
-    block = random_unitary(2, rng)
-    mat = embed(ModeUnitary(block), 3).matrix
-    assert np.array_equal(mat[:2, :2], block)
-    assert np.array_equal(mat[2], [0, 0, 1]) and np.array_equal(mat[:, 2], [0, 0, 1])
-    assert np.array_equal(embed(ModeUnitary(block), 2).matrix, block)
-
-
-def test_embed_validates_modes():
-    two_point = fourier_unitary(2)
-    for total in (1, 0, -1):
-        with pytest.raises(ValueError, match="2-mode block does not fit"):
-            embed(two_point, total)
-    # The former target-list form is no longer accepted.
-    with pytest.raises(TypeError):
-        embed(two_point, (0, 1), 3)
+    for modes, photons in ((1, 3), (2, 2), (3, 3), (4, 2), (5, 3), (6, 2)):
+        state = random_state(modes, photons, rng)
+        for k in range(1, modes + 1):
+            assert_same_bits(ModeUnitary(random_unitary(k, rng)), state)
+    signed_zeros = PureState(3, {(0, 0, 2): complex(0.6, -0.0), (1, 0, 1): complex(-0.0, 0.8)})
+    assert_same_bits(fourier_unitary(2), signed_zeros)
 
 
 def test_permanent_small_cases():
@@ -281,7 +283,7 @@ def test_apply_evolves_oracle_inputs_without_permanents(monkeypatch):
 def test_apply_requires_matching_dimension_and_normalization():
     rng = np.random.default_rng(55)
     u = ModeUnitary(random_unitary(3, rng))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="3-mode unitary does not fit a 2-mode state"):
         apply(u, random_state(2, 1, rng))
     with pytest.raises(ValueError):
         apply(u, PureState(3, {(1, 0, 0): 0.5}))

@@ -56,6 +56,11 @@ def test_slot_index_layout():
     assert slot_index(3, VERTICAL) == 7
     with pytest.raises(ValueError):
         slot_index(0, "D")
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            slot_index(bad, VERTICAL)
+    with pytest.raises(ValueError, match="mode must be at least 0"):
+        slot_index(-1, HORIZONTAL)
 
 
 def test_single_photon_state_accessors():
@@ -66,6 +71,11 @@ def test_single_photon_state_accessors():
     assert state.state.norm() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         PolarizedPhotonState.single_photon(2, {2: (1.0, 0.0)})
+    for bad in (2.0, True, 0):
+        with pytest.raises(ValueError, match="rail count must be"):
+            PolarizedPhotonState.single_photon(bad, {0: (1.0, 0.0)})
+    with pytest.raises(ValueError, match="mode must be an integer"):
+        PolarizedPhotonState.single_photon(2, {0.5: (1.0, 0.0)})
 
 
 def test_polarized_state_demands_two_slots_per_rail():
@@ -73,6 +83,8 @@ def test_polarized_state_demands_two_slots_per_rail():
 
     with pytest.raises(ValueError):
         PolarizedPhotonState(2, PureState.basis_state((1, 0, 0)))
+    with pytest.raises(ValueError, match="rail count must be an integer"):
+        PolarizedPhotonState(2.0, PureState.basis_state((1, 0, 0, 0)))
 
 
 def test_pbs_at_zero_routes_h_and_v():
@@ -121,6 +133,9 @@ def test_pbs_rejects_bad_configurations():
         RotatedPBS(theta=0.0, input_mode=0, reflect_mode=0, transmit_mode=1)
     with pytest.raises(ValueError):
         RotatedPBS(theta=0.0, input_mode=-1, reflect_mode=1, transmit_mode=2)
+    for rails in ((0.5, 2, 3), (True, 2, 3), (0, 2.0, 3), (0, 2, True)):
+        with pytest.raises(ValueError, match="splitter rail must be an integer"):
+            RotatedPBS(0.0, *rails)
 
 
 @pytest.mark.parametrize("mode", [-1, 1])
