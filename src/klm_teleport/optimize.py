@@ -249,8 +249,10 @@ class OptimalityCertificate:
     1 - (largest peak) - (surplus of the remaining peaks over the interior
     valleys).  The certificate checks the largest peak exceeds the uniform
     weight 1/(n+1) and the surplus is nonnegative, which together force the
-    success probability below n/(n+1).  Sequences with equal adjacent weights
-    are reported inapplicable rather than guessed at.
+    success probability below n/(n+1).  The surplus is >= 0 exactly: paired
+    each with its neighbouring peak away from the largest, the valleys sum to
+    less than the other peaks, and ``math.fsum`` rounds monotonically.  Sequences
+    with equal adjacent weights are reported inapplicable, not guessed at.
     """
 
     applicable: bool
@@ -301,7 +303,7 @@ def certify_klm_bound(point: SimplexPoint) -> OptimalityCertificate:
         peak_weight=w[peak],
         exceeds_threshold=w[peak] > threshold,
         surplus=surplus,
-        surplus_nonnegative=surplus >= -1e-15,
+        surplus_nonnegative=surplus >= 0.0,
         below_bound=p_success < bound,
         gap=gap,
     )

@@ -293,13 +293,17 @@ def derive_phase_correction(
     (resource term m), logical 1 on modes 0..m-1 (input photon plus term
     m-1): one cyclic shift apart, so the factor is :func:`fourier_phase` of
     the pattern.  It is a formula of the pattern alone, independent of the
-    full interferometer simulation.
+    full interferometer simulation.  ``ValueError`` unless the pattern is n+1
+    nonnegative integer counts summing to a success outcome m.
     """
     points = len(rc.amplitudes)
     m = checked_count("success outcome m", m, 1, points - 1)
-    if len(pattern) != points or sum(pattern) != m:
+    if len(pattern) != points or min(pattern) < 0 or sum(pattern) != m:
         raise ValueError(f"pattern {pattern} does not detect m={m} photons on {points} modes")
-    return fourier_phase(pattern)
+    try:
+        return fourier_phase(pattern)
+    except TypeError:  # a count that is not an integer indexes the phase table with a float
+        raise ValueError(f"pattern {pattern} holds a count that is not an integer") from None
 
 
 def reconcile_outcomes(
@@ -329,19 +333,18 @@ def reconcile_outcomes(
     its first pass and walked by the full passes that follow.
 
     Every pattern, whatever its probability, may hold amplitude only on its
-    branch occupations: the norm of the rest must stay within ``ORACLE_TOL``.
-    The check is exact, not a noise bound: the unmeasured modes lie past the
-    transform, where ``apply`` moves no photon, so every other occupation is
-    absent, not small.  As both branch occupations of a success share one
-    spectator occupation, passing it also means the state factorizes as
-    spectators x qubit mode.  A success pattern must fall at an m the law gives
-    a conditional qubit, its branch magnitudes must match that qubit's and its
-    phase-corrected qubit must match the qubit itself.  An outcome whose law has
-    a single nonzero branch magnitude has no relative phase: its patterns record
-    ``1 + 0j`` and ``phase_of`` is not asked.  The most probable pattern's
-    corrected qubit represents each m, and the aggregated probability of each m
-    must match the law within ``ORACLE_TOL``.  Raises OracleMismatchError on any
-    disagreement.
+    branch occupations; any other key is refused, however small, as no noise
+    bound applies: the unmeasured modes lie past the transform, where ``apply``
+    moves no photon, so every other occupation is absent, not small.  As both
+    branch occupations of a success share one spectator occupation, passing it
+    also means the state factorizes as spectators x qubit mode.  A success
+    pattern must fall at an m the law gives a conditional qubit, its branch
+    magnitudes must match that qubit's and its phase-corrected qubit must match
+    the qubit itself.  An outcome whose law has a single nonzero branch
+    magnitude has no relative phase: its patterns record ``1 + 0j`` and
+    ``phase_of`` is not asked.  The most probable pattern's corrected qubit
+    represents each m, and the aggregated probability of each m must match the
+    law within ``ORACLE_TOL``.  Raises OracleMismatchError on any disagreement.
     """
     n = rc.n
     analytic = run_analytic(rc, qubit)
@@ -358,18 +361,12 @@ def reconcile_outcomes(
                 raise OracleMismatchError(f"impossible outcome m={m} in pattern {pattern}")
             occupations = branches[m]
             amplitudes = conditional.amplitudes
-            # With every key a branch occupation, the amplitude outside is exactly 0.
             if not all(map(occupations.__contains__, amplitudes)):
-                outside = math.sqrt(
-                    math.fsum(
-                        [abs(a) ** 2 for occ, a in amplitudes.items() if occ not in occupations]
-                    )
+                stray = next(occ for occ in amplitudes if occ not in occupations)
+                raise OracleMismatchError(
+                    f"pattern {pattern} holds amplitude {amplitudes[stray]!r} on {stray}, "
+                    "outside its branch occupations"
                 )
-                if outside > ORACLE_TOL:
-                    raise OracleMismatchError(
-                        f"pattern {pattern} holds amplitude {outside:.3e} "
-                        "outside its branch occupations"
-                    )
             records = per_m_patterns[m]
             if not 1 <= m <= n:
                 records.append(PatternRecord(pattern, prob, 1 + 0j, float("nan")))

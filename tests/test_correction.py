@@ -101,6 +101,10 @@ def test_p_success_given_m_rejects_zero_probability():
         p_success_given_m(1, dead, balanced())
     # A merely lopsided qubit is fine: uniform coefficients keep p(1) > 0.
     p_success_given_m(1, ResourceCoefficients.uniform(2), QubitAmplitudes(0.0, 1.0))
+    # c_2 = 0 and beta = 0 make m = 2 impossible for this input only.
+    lopsided = ResourceCoefficients.from_weights([0.5, 0.5, 0.0])
+    with pytest.raises(ValueError, match="outcome m=2 never occurs for this input"):
+        p_success_given_m(2, lopsided, QubitAmplitudes(1.0, 0.0))
 
 
 def test_adjacent_minima_sum_frozen():

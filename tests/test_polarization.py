@@ -270,6 +270,10 @@ def test_teleported_state_frozen():
     dead = ResourceCoefficients.from_weights([0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="never occurs"):
         teleported_state(dead, balanced(), 1)
+    # c_2 = 0 and beta = 0 make m = 2 impossible for this input only.
+    lopsided = ResourceCoefficients.from_weights([0.5, 0.5, 0.0])
+    with pytest.raises(ValueError, match="outcome m=2 never occurs for this input"):
+        teleported_state(lopsided, QubitAmplitudes(1.0, 0.0), 2)
     # p(m=1) = 1e-320 is subnormal; the state is still normalized.
     tiny = normalize_coefficients([1e-160, 1e-160, 1.0], renormalize=True)
     amp_h, amp_v = teleported_state(tiny, balanced(), 1).mode_amplitudes(0)

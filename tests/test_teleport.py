@@ -184,6 +184,11 @@ def test_phase_correction_validates_patterns():
         derive_phase_correction((1, 0), 1, rc)
     with pytest.raises(ValueError, match="must be an integer"):
         derive_phase_correction((1, 0, 0), 1.0, rc)
+    # A negative count, and counts that are not integers, with the right total.
+    with pytest.raises(ValueError, match="does not detect"):
+        derive_phase_correction((-1, 2, 0), 1, rc)
+    with pytest.raises(ValueError, match="not an integer"):
+        derive_phase_correction((0.5, 0.5, 0), 1, rc)
 
 
 def _branch_phase(u, source_zero, source_one, target):
@@ -346,6 +351,17 @@ def _leak_1e9_on_a_failure(conditional, m):
     return _leaked(conditional, 1e-9)
 
 
+# Far below ORACLE_TOL: the branch-occupation check has no tolerance.
+@_first_at(1)
+def _leak_1e12_on_a_success(conditional, m):
+    return _leaked(conditional, 1e-12)
+
+
+@_first_at(0)
+def _leak_1e12_on_a_failure(conditional, m):
+    return _leaked(conditional, 1e-12)
+
+
 def _add_a_forbidden_pattern(outcomes, outcome_of, encode):
     # A pattern at m = 3 whose conditional state sits on that outcome's
     # branch occupations, so only the law can refuse it.
@@ -410,6 +426,10 @@ LEAK = "outside its branch occupations"
         ("polarization", _add_a_pattern_with_an_extra_photon, "detected 5 photons, expected 4"),
         ("number", _fill_the_empty_branch_at_m2, "magnitudes"),
         ("polarization", _fill_the_empty_branch_at_m2, "magnitudes"),
+        ("number", _leak_1e12_on_a_success, LEAK),
+        ("polarization", _leak_1e12_on_a_success, LEAK),
+        ("number", _leak_1e12_on_a_failure, LEAK),
+        ("polarization", _leak_1e12_on_a_failure, LEAK),
     ],
 )
 def test_oracles_catch_a_corrupted_pattern(monkeypatch, encoding, corrupt, message):
