@@ -248,11 +248,12 @@ class OptimalityCertificate:
     For strictly varying weights the success probability telescopes to
     1 - (largest peak) - (surplus of the remaining peaks over the interior
     valleys).  The certificate checks the largest peak exceeds the uniform
-    weight 1/(n+1) and the surplus is nonnegative, which together force the
-    success probability below n/(n+1).  The surplus is >= 0 exactly: paired
-    each with its neighbouring peak away from the largest, the valleys sum to
-    less than the other peaks, and ``math.fsum`` rounds monotonically.  Sequences
-    with equal adjacent weights are reported inapplicable, not guessed at.
+    weight 1/(n+1); with a nonnegative surplus that forces the success
+    probability below n/(n+1).  The surplus needs no check, as it is >= 0
+    exactly: paired each with its neighbouring peak away from the largest, the
+    valleys sum to less than the other peaks, and ``math.fsum`` rounds
+    monotonically.  Sequences with equal adjacent weights are reported
+    inapplicable, not guessed at.
     """
 
     applicable: bool
@@ -264,7 +265,6 @@ class OptimalityCertificate:
     peak_weight: float | None = None
     exceeds_threshold: bool | None = None
     surplus: float | None = None
-    surplus_nonnegative: bool | None = None
     below_bound: bool | None = None
     gap: float | None = None
 
@@ -303,7 +303,6 @@ def certify_klm_bound(point: SimplexPoint) -> OptimalityCertificate:
         peak_weight=w[peak],
         exceeds_threshold=w[peak] > threshold,
         surplus=surplus,
-        surplus_nonnegative=surplus >= 0.0,
         below_bound=p_success < bound,
         gap=gap,
     )

@@ -1,5 +1,5 @@
 """Static checks: every import in the package's modules is used, no code is dead,
-and each input rule has one owner.
+each input rule has one owner, and paired routes share no code.
 
 Parses each ``src/klm_teleport/*.py`` with ``ast`` (stdlib only) and fails on
 an imported name that the module never reads.  ``__init__.py`` re-exports
@@ -21,7 +21,10 @@ and raises ``ValueError`` or ``ConfigError``: such rules belong to the owners
 (``checked_count`` in ``fock.py``, re-exported by ``teleport.py``;
 ``ResourceCoefficients.success_pair`` and ``admit_oracle`` in ``teleport.py``),
 and any other function that states one must be allowed in
-``COUNT_RULES_ALLOWED`` with the reason.
+``COUNT_RULES_ALLOWED`` with the reason.  Last, it keeps the paired routes of
+``ROUTE_PAIRS`` apart: over a conservative, name-based call graph of the
+package, the definitions both routes of a pair reach must all be shared input
+owners listed in ``SHARED_ALLOWED`` with the reason they are shared.
 """
 
 import ast
@@ -449,3 +452,117 @@ def test_checker_sees_a_count_rule_copy():
         ("parse", 7),
         ("Box.outcome.inner", 18),
     ]
+
+
+#: Headline numbers that two routes compute, and the routes' root definitions.
+#: The routes of a pair must share no code (ROADMAP aim 3).  The simulation
+#: takes its input from ``teleport._resource_term``, which also gives the
+#: branch table the simulation is checked against; that is the protocol's
+#: definition, not a route, and the law ``run_analytic`` does not read it.
+ROUTE_PAIRS = {
+    "outcome law vs Fock simulation": ({"run_analytic"}, {"apply", "measure_photon_counts"}),
+    "success probability: pairwise minima vs extrema": (
+        {"adjacent_minima_sum"},
+        {"extrema_formula", "classify_sequence"},
+    ),
+    "correction: Kraus operators vs optical circuit": ({"kraus_for"}, {"correction_circuit"}),
+    "average fidelity: closed form vs sampler": (
+        {"avg_fidelity_closed_form"},
+        {"_sample_fidelities", "average_fidelity_for_qubit"},
+    ),
+    "success bound: dual multipliers vs extrema certificate": (
+        {"success_dual_certificate"},
+        {"certify_klm_bound"},
+    ),
+    "corrective phase: Fourier formula vs Fock simulation": ({"fourier_phase"}, {"apply"}),
+}
+#: Definitions that both routes of a pair may reach: shared input owners,
+#: each with the reason.  Names resolve conservatively, so a local variable
+#: or attribute with an owner's name reaches it too.
+SHARED_ALLOWED = {
+    "checked_count": "the one rule for sizes and counts (fock.py)",
+    "checked_weights": "the one rule for weight vectors (teleport.py)",
+    "weights": "ResourceCoefficients.weights, the resource's squared moduli that both routes take",
+    "n": "ResourceCoefficients.n and SimplexPoint.n, the resource size",
+    "success_pair": "ResourceCoefficients.success_pair, the one rule for success outcomes",
+    "FailureConvention": "the failure convention both fidelity routes are told to use",
+}
+
+
+def _call_graph(trees) -> dict[str, set[str]]:
+    """Definition name -> the package definitions its body may reach in one step.
+
+    Every function, method and class at any depth is a definition, and
+    definitions that share a name share a node.  A body reaches every
+    definition whose name it mentions as a name or an attribute, so the
+    graph over-approximates the calls: it can show a path that never runs,
+    never miss one that does.  A class's body includes its methods.
+    """
+    mentions: dict[str, set[str]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = mentions.setdefault(node.name, set())
+                for statement in node.body:
+                    for sub in ast.walk(statement):
+                        if isinstance(sub, ast.Name):
+                            names.add(sub.id)
+                        elif isinstance(sub, ast.Attribute):
+                            names.add(sub.attr)
+    return {name: names & mentions.keys() for name, names in mentions.items()}
+
+
+def _reachable(graph: dict[str, set[str]], roots: set[str]) -> set[str]:
+    seen: set[str] = set()
+    todo = list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(graph[name])
+    return seen
+
+
+def _shared_route_code(trees, pairs, allowed) -> tuple[list[str], list[str]]:
+    """(violations, stale): each pair's shared definitions outside ``allowed``,
+    and ``allowed`` entries that no pair shares.
+
+    A route that reaches the other's root shares that root, so one
+    intersection checks both directions.
+    """
+    graph = _call_graph(trees)
+    violations, shared_anywhere = [], set()
+    for label, (left, right) in pairs.items():
+        shared = _reachable(graph, left) & _reachable(graph, right)
+        shared_anywhere |= shared
+        if shared - allowed.keys():
+            violations.append(f"{label}: {', '.join(sorted(shared - allowed.keys()))}")
+    return violations, sorted(allowed.keys() - shared_anywhere)
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in MODULES}
+
+
+def test_paired_routes_share_no_code():
+    trees = _package_trees()
+    violations, stale = _shared_route_code(trees.values(), ROUTE_PAIRS, SHARED_ALLOWED)
+    assert not violations, (
+        f"paired routes share code: {'; '.join(violations)}; keep the routes apart, "
+        "or allow a shared input owner in SHARED_ALLOWED with the reason"
+    )
+    assert not stale, f"allowed definitions that no pair shares: {', '.join(stale)}"
+    # apply's private plan helpers belong to the simulation route, so the
+    # pairs above keep them off the law and the Fourier phase formula.
+    simulation = _reachable(_call_graph(trees.values()), {"apply"})
+    assert {"_expand_term", "_plan_term", "_replay", "_keep"} <= simulation
+    assert not {"run_analytic", "fourier_phase"} & simulation
+
+
+def test_checker_sees_routes_that_share_code():
+    trees = _package_trees()
+    for node in ast.walk(trees["correction.py"]):
+        if isinstance(node, ast.FunctionDef) and node.name == "extrema_formula":
+            node.body.append(ast.parse("adjacent_minima_sum(weights)").body[0])
+    violations, _ = _shared_route_code(trees.values(), ROUTE_PAIRS, SHARED_ALLOWED)
+    assert violations == ["success probability: pairwise minima vs extrema: adjacent_minima_sum"]

@@ -16,14 +16,18 @@ from klm_teleport import (
     PureState,
     apply,
     build_resource_state,
+    correction_circuit,
     dual_rail,
     fourier_unitary,
     measure_photon_counts,
     permanent,
     slot_index,
+    teleported_state,
     tensor,
     transition_amplitude,
 )
+from klm_teleport.polarization import POLARIZATION_ORACLE_LIMIT
+from klm_teleport.teleport import ResourceCoefficients, protocol_input
 
 from helpers import (
     block_unitary,
@@ -93,6 +97,94 @@ def test_apply_acts_on_the_leading_modes():
             assert_same_bits(ModeUnitary(random_unitary(k, rng)), state)
     signed_zeros = PureState(3, {(0, 0, 2): complex(0.6, -0.0), (1, 0, 1): complex(-0.0, 0.8)})
     assert_same_bits(fourier_unitary(2), signed_zeros)
+
+
+def _fresh_plans(monkeypatch, budget=None):
+    """Empty ``apply``'s plan cache, so the next call on any structure is its first."""
+    monkeypatch.setattr(optics_module, "_plans", {})
+    monkeypatch.setattr(optics_module, "_plan_entries", 0)
+    if budget is not None:
+        monkeypatch.setattr(optics_module, "_PLAN_BUDGET", budget)
+
+
+def _plan_cases():
+    """(unitary, state) pairs: both oracles' inputs, a correction circuit's
+    slot unitary, two photons in one block mode, and spectators past the block."""
+    rng = np.random.default_rng(26)
+    cases = []
+    for n in range(1, 7):
+        rc, qubit = random_coefficients(n, rng), random_qubit(rng)
+        cases.append((fourier_unitary(n + 1), protocol_input(rc, qubit)))
+        # The polarization oracle refuses n above its limit.
+        if n <= POLARIZATION_ORACLE_LIMIT:
+            doubled = ModeUnitary(np.kron(fourier_unitary(n + 1).matrix, np.eye(2)))
+            cases.append((doubled, dual_rail(protocol_input(rc, qubit))))
+    engine = optics_module.apply
+
+    def recorded(u, state):
+        cases.append((u, state))
+        return engine(u, state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optics_module, "apply", recorded)
+        rc = ResourceCoefficients.from_weights([0.5, 0.3, 0.2])
+        correction_circuit(1, rc, teleported_state(rc, random_qubit(rng), 1))
+    cases.append((ModeUnitary(random_unitary(3, rng)), random_state(3, 2, rng)))
+    spectators = PureState.from_terms(5, {(1, 0, 2, 0, 1): 0.6, (0, 1, 1, 1, 1): 0.8j})
+    cases.append((ModeUnitary(random_unitary(2, rng)), spectators))
+    return cases
+
+
+def test_apply_replays_its_plans_bit_for_bit(monkeypatch):
+    # A structure's first call expands it, the second plans and replays it,
+    # later calls replay: all three give the same amplitudes, bit for bit,
+    # in the same order.
+    for u, state in _plan_cases():
+        _fresh_plans(monkeypatch)
+        first, second, third = (repr(list(apply(u, state).amplitudes.items())) for _ in range(3))
+        plans = optics_module._plans
+        assert len(plans) == len(state.amplitudes)
+        assert all(isinstance(plan, optics_module._Plan) for plan in plans.values())
+        assert first == second == third
+
+
+def test_apply_plans_each_zero_pattern_apart(monkeypatch):
+    # The two unitaries differ only in entry (0, 2): an exact zero in one and
+    # 1e-13 in the other, which the unitarity check at 1e-12 accepts.  A plan
+    # keyed without the zero pattern would replay one matrix's expansion with
+    # the other's entries.
+    _fresh_plans(monkeypatch)
+    c, s = math.cos(0.4), math.sin(0.4)
+    exact = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=complex)
+    nearly = exact.copy()
+    nearly[0, 2] = 1e-13
+    state = random_state(3, 2, np.random.default_rng(27))
+    for matrix in (exact, nearly) * 3:
+        u = ModeUnitary(matrix)
+        _assert_matches(apply(u, state), _elementwise(u, state, (0, 1, 2)))
+    plans = optics_module._plans
+    assert len(plans) == 2 * len(state.amplitudes)
+    assert all(isinstance(plan, optics_module._Plan) for plan in plans.values())
+
+
+def test_apply_keeps_its_plans_within_the_budget(monkeypatch):
+    budget = 2000
+    _fresh_plans(monkeypatch, budget)
+    rng = np.random.default_rng(28)
+    structures = set()
+    for _ in range(40):
+        modes = int(rng.integers(2, 5))
+        state = random_state(modes, int(rng.integers(1, 4)), rng)
+        u = ModeUnitary(random_unitary(int(rng.integers(1, modes + 1)), rng))
+        structures.update((u.dimension, occ) for occ in state.amplitudes)
+        first, second = (repr(list(apply(u, state).amplitudes.items())) for _ in range(2))
+        assert first == second
+        plans = optics_module._plans
+        held = sum(p.size if isinstance(p, optics_module._Plan) else 1 for p in plans.values())
+        assert held == optics_module._plan_entries <= budget
+    # The budget ran out: some structures hold a plan, others were refused.
+    assert any(isinstance(plan, optics_module._Plan) for plan in plans.values())
+    assert len(plans) < len(structures)
 
 
 def test_permanent_small_cases():

@@ -420,7 +420,6 @@ def test_certificate_validates_random_strict_points():
             certificate = certify_klm_bound(point)
             assert certificate.applicable
             assert certificate.exceeds_threshold
-            assert certificate.surplus_nonnegative
             assert certificate.below_bound
             assert certificate.peak_weight > 1.0 / (n + 1)
             assert certificate.gap > 0.0
