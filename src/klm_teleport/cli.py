@@ -196,7 +196,7 @@ def _parse_inline(body: str, *, squared: bool, renormalize: bool) -> ResourceCoe
         raise ConfigError("squared moduli cannot all be zero")
     if abs(math.sqrt(total) - 1.0) > COEFF_NORM_TOL and not renormalize:
         raise ConfigError(f"squared moduli sum to {total!r}; pass --renormalize to accept")
-    return ResourceCoefficients(tuple(math.sqrt(v / total) for v in values))
+    return ResourceCoefficients.from_weights(v / total for v in values)
 
 
 def parse_coefficients(args: argparse.Namespace) -> ResourceCoefficients:

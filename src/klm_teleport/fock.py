@@ -88,7 +88,7 @@ class PureState:
     amplitudes: dict[Occupation, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        checked_count("mode count", self.mode_count, 0)
+        object.__setattr__(self, "mode_count", checked_count("mode count", self.mode_count, 0))
         for occ, amp in self.amplitudes.items():
             if len(occ) != self.mode_count:
                 raise ValueError(f"occupation {occ} does not match mode count {self.mode_count}")

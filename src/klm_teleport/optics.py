@@ -7,15 +7,14 @@ transforms by plain matrix-vector multiplication with U.
 Two independent routes evaluate the same physics.  ``apply`` evolves a whole
 state by expanding prod_k (sum_l U[l, k] a_l^dag)^{S_k} one photon at a time,
 skipping zero entries of U.  A k-mode U acts on the leading k modes, the ones
-``measure_photon_counts`` measures, and each later mode passes through as a
-single exact term.  It is the package's only Fock engine: both oracles evolve
-their input through it, and so does the polarization correction circuit, as
-one slot unitary.  Its integer bookkeeping depends only on a term's structure
-(mode count, block size, zero pattern of U and occupation), so a structure
-that comes back is planned once and then replayed with only the complex
-multiply-adds, in the same order, bit for bit; a structure seen once is
-expanded directly.  ``transition_amplitude`` evaluates one matrix element as a
-permanent,
+``measure_photon_counts`` measures; photons on later modes never meet U.  It
+is the package's only Fock engine: both oracles evolve their input through
+it, and so does the polarization correction circuit, as one slot unitary.
+Its integer bookkeeping depends only on a term's structure (mode count,
+block size, zero pattern of U and occupation), so a structure that comes
+back is planned once and then replayed with only the complex multiply-adds,
+bit for bit; a structure seen once is expanded directly.
+``transition_amplitude`` evaluates one matrix element as a permanent,
 
     <T| U |S> = per(U[S, T]) / sqrt(prod(S_i!) * prod(T_l!))
 
@@ -36,7 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,10 +170,6 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
     amplitude of |T>.  Photon number is conserved; amplitudes below the
     pruning threshold are dropped from the result.
 
-    A k-mode ``u`` acts on the state's leading k modes.  Each later mode gets
-    the identity column, 1 + 0j on itself, so its photons stay put and every
-    amplitude matches the identity-padded matrix's to the last bit.
-
     Bounds: ``u`` must fit the state, the state must be normalized (within
     1e-9) and no source term may hold more than ``MAX_PHOTONS`` photons, or
     ``ValueError`` is raised.
@@ -183,24 +178,33 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
     photon bound keeps every byte below 256, and integer order is the
     lexicographic order of the occupations.
 
-    Plans.  A source term's structure is the mode count, the block size, the
-    zero pattern of ``u`` and the term's occupation.  It fixes the whole
-    bookkeeping of the term's expansion: which product lands on which
-    monomial, in what order, and each output's occupation and weight.  Only
-    the arithmetic needs the matrix's values, which are read afresh on every
-    call.  The first call on a structure expands the term as above and notes
-    the structure.  When the structure comes back, ``_plan_term`` records
-    that bookkeeping as a plan, and from then on ``_replay`` does only the
-    complex multiply-adds.  Its bits are the expansion's: it forms the same
-    products and adds them into each output slot in the same order, each
-    slot starting as ``0j + product``, and both paths share the weighted
-    accumulation, the pruning and the drift check below.  Planning waits for
-    the second call because a build and its first replay cost up to twice
-    the plain expansion (n = 5 number oracle input: 6.2 against 3.3 ms): a
-    structure seen once, as every structure of a one-shot run is, costs only
-    its expansion.  Plans live in one module-level cache bounded by
-    ``_PLAN_BUDGET`` entries, about 20 MiB; once it is spent, new structures
-    are expanded unplanned.
+    A k-mode ``u`` acts on the state's leading k modes, and only their photons
+    are expanded.  Photons on later modes stay put, so their bytes form one
+    offset from which the term's expansion starts.  Every amplitude matches
+    the identity-padded matrix's to the last bit: its unit entries can only
+    flip the sign of a zero component (see Zeros).
+
+    Plans.  A source term's structure (mode count, block size, zero pattern
+    of ``u``, occupation) fixes the whole bookkeeping of its expansion: the
+    offset, which product lands on which monomial, in what order, and each
+    output's occupation and weight; only the arithmetic reads the matrix.
+    The first call on a structure expands the term and notes the structure;
+    the second has ``_plan_term`` record the bookkeeping as a plan, which
+    ``_replay`` then runs with only the complex multiply-adds, adding the same
+    products into each output slot in the same order.  Both paths share
+    ``_outputs``, the accumulation, the pruning and the drift check.  A build
+    costs about 1.7 times the expansion (number oracle input, in process:
+    9.3 against 5.6 ms at n = 5), so planning waits for the second call and a
+    structure seen once, as in a one-shot run, costs only its expansion.
+    Plans share one cache of ``_PLAN_BUDGET`` entries; once it is spent, new
+    structures are expanded unplanned.
+
+    Zeros.  A replayed slot starts at its first product, the expansion at
+    ``0j + product``, so they may differ in the sign of a zero component.  No
+    output shows it: the sign of a zero operand never changes a nonzero IEEE
+    sum or product; ``apply`` accumulates every output from ``0j``, which
+    turns a -0.0 component into +0.0; and ``_significant`` drops amplitudes
+    that are entirely zero.
     """
     block = u.dimension
     modes = state.mode_count
@@ -214,53 +218,41 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
         )
     mat = u.matrix
     place = [1 << 8 * (modes - 1 - l) for l in range(modes)]
-    # Only columns of occupied modes are ever read; past the block, the
-    # identity's 1 + 0j is multiplied in, not skipped, as it may flip a zero's
-    # sign.  Sparsest first: spectator photons are placed while the expansion
-    # is still a single term.
-    occupied = [k for k, counts in enumerate(zip(*state.amplitudes)) if any(counts)]
-    columns = {k: [(place[k], 1 + 0j)] for k in occupied if k >= block}
-    for k in occupied:
-        if k < block:
-            columns[k] = [(place[l], complex(mat[l, k])) for l in np.flatnonzero(mat[:, k])]
+    # Only columns of occupied block modes are read.  Sparsest first: a column
+    # with few nonzero entries is multiplied in while the expansion is small.
+    occupied = [k for k, counts in zip(range(block), zip(*state.amplitudes)) if any(counts)]
+    columns = {
+        k: [(place[l], complex(mat[l, k])) for l in np.flatnonzero(mat[:, k])] for k in occupied
+    }
     entries = {k: [entry for _, entry in column] for k, column in columns.items()}
     order = sorted(occupied, key=lambda k: len(columns[k]))
     shape = (modes, block, (mat != 0).tobytes())
-    targets: dict[int, tuple[Occupation, int]] = {}
+    occupations: dict[int, Occupation] = {}
     out: dict[int, complex] = {}
     for occ, amp in state.amplitudes.items():
+        offset = int.from_bytes(bytes(occ[block:]), "big")
         photons = [k for k in order for _ in range(occ[k])]
         structure = (shape, occ)
         plan = _plans.get(structure)
         # Seen once: plan it if the budget has room.  The plan takes over the
         # one entry that marked the structure as seen.
         if type(plan) is int and plan - 1 <= _PLAN_BUDGET - _plan_entries:
-            plan = _plan_term(photons, columns, occ)
+            plan = _plan_term(offset, photons, columns, occ)
             _keep(structure, plan, plan.size - 1)
         if type(plan) is _Plan:
-            values = _replay(plan, amp, entries)
-            targets.update(plan.targets)
-            weighted = zip(plan.targets, map(values.__getitem__, plan.slots), plan.weights)
-            for code, coeff, weight in weighted:
-                out[code] = out.get(code, 0j) + coeff * weight
-            continue
-        src_fact = 1
-        for k in order:
-            src_fact *= _FACTORIAL[occ[k]]
-        monomials, products = _expand_term(amp, photons, columns)
-        if plan is None:
-            _keep(structure, _plan_size(products, len(monomials), modes), 1)
-        for code, coeff in monomials.items():
-            target = targets.get(code)
-            if target is None:
-                key = tuple(code.to_bytes(modes, "big"))
-                tgt_fact = 1
-                for t in key:
-                    tgt_fact *= _FACTORIAL[t]
-                target = targets[code] = (key, tgt_fact)
-            out[code] = out.get(code, 0j) + coeff * math.sqrt(target[1] / src_fact)
+            targets, weights = plan.targets, plan.weights
+            coeffs = map(_replay(plan, amp, entries).__getitem__, plan.slots)
+        else:
+            monomials, products = _expand_term(offset, amp, photons, columns)
+            if plan is None:
+                _keep(structure, _plan_size(products, len(monomials), modes), 1)
+            targets, weights = _outputs(monomials, occ)
+            coeffs = monomials.values()
+        occupations.update(targets)
+        for code, coeff, weight in zip(targets, coeffs, weights):
+            out[code] = out.get(code, 0j) + coeff * weight
 
-    terms = _significant((targets[code][0], a) for code, a in out.items())
+    terms = _significant((occupations[code], a) for code, a in out.items())
     result = PureState._derived(modes, terms)
     drift = abs(result.norm() - 1.0)
     if drift > 1e-10:
@@ -269,15 +261,13 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
 
 
 #: Entries that ``apply``'s plans may hold together.  An entry is one number
-#: a plan keeps: a product's index, or one of the modes + 4 that an output
-#: monomial keeps (its code, slot, weight, factorial and occupation).  Plans
-#: measured 14-20 bytes an entry on 64-bit CPython 3.11, so the budget holds
-#: them to about 20 MiB.
-#: That is room for every plan of the number oracle at n = 7 (498,392
-#: entries) or of the polarization oracle at its limit n = 5 (704,968); at
-#: n = 8 (2.1 million) all but the two largest plans fit.  Once the budget is
-#: spent, new structures are expanded unplanned and nothing is evicted, so a
-#: working set larger than the budget never cycles through plan builds.
+#: a plan keeps: a product's index, or one of the modes + 3 that an output
+#: monomial keeps (code, slot, weight, occupation).  Plans measured 12-14
+#: bytes an entry (``tracemalloc``, 64-bit CPython 3.11), about 15 MiB in all:
+#: room for every plan of the number oracle at n = 7 (479,032 entries) or the
+#: polarization oracle at n = 5 (681,080); at n = 8 (2.0 million) all but the
+#: two largest fit.  Once it is spent, new structures are expanded unplanned
+#: and nothing is evicted, so a larger working set never cycles through builds.
 _PLAN_BUDGET = 1 << 20
 
 #: Plans by structure: a structure seen once maps to the entries its plan
@@ -295,8 +285,8 @@ class _Plan(NamedTuple):
     steps: list[tuple[int, list[array]]]
     #: The replay's slot of each output monomial, in expansion order.
     slots: array
-    #: Output monomial code -> (occupation, prod T_l!), in expansion order.
-    targets: dict[int, tuple[Occupation, int]]
+    #: Output monomial code -> occupation, in expansion order.
+    targets: dict[int, Occupation]
     #: sqrt(prod T_l! / prod S_k!) of each output monomial, in expansion order.
     weights: list[float]
     #: Entries the plan holds (see ``_PLAN_BUDGET``).
@@ -304,7 +294,7 @@ class _Plan(NamedTuple):
 
 
 def _plan_size(products: int, outputs: int, modes: int) -> int:
-    return products + outputs * (modes + 4)
+    return products + outputs * (modes + 3)
 
 
 def _keep(key: tuple, entry: _Plan | int, cost: int) -> None:
@@ -316,15 +306,14 @@ def _keep(key: tuple, entry: _Plan | int, cost: int) -> None:
 
 
 def _expand_term(
-    amp: complex, photons: list[int], columns: dict[int, list[tuple[int, complex]]]
+    offset: int, amp: complex, photons: list[int], columns: dict[int, list[tuple[int, complex]]]
 ) -> tuple[dict[int, complex], int]:
     """One source term multiplied out: (monomial code -> coefficient, products formed).
 
-    Each monomial's coefficient starts as ``0j + product`` and adds the later
-    products in expansion order: monomial by monomial of the previous step,
-    and for each, entry by entry of the column.
+    From the monomial ``offset`` on, each coefficient sums its products from
+    ``0j``: by monomial of the previous step, then by entry of the column.
     """
-    monomials = {0: amp}
+    monomials = {offset: amp}
     products = 0
     for k in photons:
         column = columns[k]
@@ -338,8 +327,23 @@ def _expand_term(
     return monomials, products
 
 
+def _outputs(codes: Iterable[int], occ: Occupation) -> tuple[dict[int, Occupation], list[float]]:
+    """Each output code's occupation T, and its weight sqrt(prod T_l! / prod S_k!)."""
+    modes = len(occ)
+    src_fact = math.prod(_FACTORIAL[count] for count in occ)
+    targets = {}
+    weights = []
+    for code in codes:
+        occupation = targets[code] = tuple(code.to_bytes(modes, "big"))
+        tgt_fact = 1
+        for count in occupation:
+            tgt_fact *= _FACTORIAL[count]
+        weights.append(math.sqrt(tgt_fact / src_fact))
+    return targets, weights
+
+
 def _plan_term(
-    photons: list[int], columns: dict[int, list[tuple[int, complex]]], occ: Occupation
+    offset: int, photons: list[int], columns: dict[int, list[tuple[int, complex]]], occ: Occupation
 ) -> _Plan:
     """``_expand_term``'s bookkeeping for one source term, with no arithmetic.
 
@@ -349,8 +353,7 @@ def _plan_term(
     as ``_expand_term`` adds them.  Slots are stored deepest first, so the
     monomials still adding at fold depth d are a prefix of the slots.
     """
-    modes = len(occ)
-    slot_of = {0: 0}
+    slot_of = {offset: 0}
     steps = []
     products = 0
     for k in photons:
@@ -369,27 +372,23 @@ def _plan_term(
         steps.append((k, by_depth))
         rank = {mono: slot for slot, mono in enumerate(ranked)}
         slot_of = {mono: rank[mono] for mono in sources}
-    src_fact = math.prod(_FACTORIAL[count] for count in occ)
-    targets = {}
-    weights = []
-    for code in slot_of:
-        occupation = tuple(code.to_bytes(modes, "big"))
-        tgt_fact = math.prod(_FACTORIAL[count] for count in occupation)
-        targets[code] = (occupation, tgt_fact)
-        weights.append(math.sqrt(tgt_fact / src_fact))
-    size = _plan_size(products, len(targets), modes)
+    targets, weights = _outputs(slot_of, occ)
+    size = _plan_size(products, len(targets), len(occ))
     return _Plan(steps, array("I", slot_of.values()), targets, weights, size)
 
 
 def _replay(plan: _Plan, amp: complex, entries: dict[int, list[complex]]) -> list[complex]:
-    """The coefficients ``_expand_term`` gives the plan's term, by slot, bit for bit."""
+    """The coefficients ``_expand_term`` gives the plan's term, by slot.
+
+    A slot starts at its bare first product; ``apply`` (Zeros) says why.
+    """
     values = [amp]
     for k, by_depth in plan.steps:
         column = entries[k]
         products = [x * e for x in values for e in column]
         pick = products.__getitem__
         first, *rest = by_depth
-        values = [0j + p for p in map(pick, first)]
+        values = list(map(pick, first))
         for adds in rest:
             values[: len(adds)] = [v + p for v, p in zip(values, map(pick, adds))]
     return values

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from klm_teleport import (
     PureState,
     QubitAmplitudes,
+    apply,
+    fourier_unitary,
     measure_photon_counts,
     tensor,
 )
@@ -59,6 +61,23 @@ def test_pure_state_validates_occupations():
             PureState(bad, {})
     with pytest.raises(ValueError, match="mode count must be an integer"):
         PureState(True, {(0,): 1.0})
+
+
+def test_pure_state_stores_a_plain_mode_count():
+    # A numpy mode count is stored as the int that checked_count returns, so
+    # apply, tensor and measurement never see or pass on a numpy integer.
+    state = PureState(np.int64(2), {(1, 0): 1 + 0j})
+    assert type(state.mode_count) is int
+    evolved = apply(fourier_unitary(2), state)
+    assert evolved.amplitude((0, 1)) == pytest.approx(math.sqrt(0.5))
+    assert type(tensor(state, state).mode_count) is int
+    assert all(type(o.conditional.mode_count) is int for o in measure_photon_counts(state, 1))
+    # Numpy photon counts past the block stay exact spectators.
+    spectators = PureState(np.int64(3), {(np.int64(1), 0, np.int64(1)): 1 + 0j})
+    assert apply(fourier_unitary(2), spectators).amplitudes == {
+        (1, 0, 1): evolved.amplitude((1, 0)),
+        (0, 1, 1): evolved.amplitude((0, 1)),
+    }
 
 
 def test_from_terms_prunes_negligible_amplitudes():

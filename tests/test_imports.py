@@ -555,7 +555,7 @@ def test_paired_routes_share_no_code():
     # apply's private plan helpers belong to the simulation route, so the
     # pairs above keep them off the law and the Fourier phase formula.
     simulation = _reachable(_call_graph(trees.values()), {"apply"})
-    assert {"_expand_term", "_plan_term", "_replay", "_keep"} <= simulation
+    assert {"_expand_term", "_plan_term", "_outputs", "_replay", "_keep"} <= simulation
     assert not {"run_analytic", "fourier_phase"} & simulation
 
 

@@ -82,8 +82,11 @@ def test_mode_unitary_rejects_bad_matrices():
 
 def test_apply_acts_on_the_leading_modes():
     # A k-mode block evolves the first k modes exactly as the full-size matrix
-    # padded with the identity does: the same amplitudes, bit for bit, signed
-    # zeros included, in the same order.
+    # padded with the identity does: the same amplitudes, bit for bit, in the
+    # same order.  The block route places spectator photons as a code offset,
+    # the padded route multiplies in the identity's 1 + 0j; that product can
+    # only flip the sign of a zero component, and apply accumulates every
+    # output from 0j, which leaves no zero negative, signed-zero input included.
     def assert_same_bits(block, state):
         padded = block_unitary(block.matrix, range(block.dimension), state.mode_count)
         assert repr(list(apply(block, state).amplitudes.items())) == repr(
@@ -146,6 +149,22 @@ def test_apply_replays_its_plans_bit_for_bit(monkeypatch):
         assert len(plans) == len(state.amplitudes)
         assert all(isinstance(plan, optics_module._Plan) for plan in plans.values())
         assert first == second == third
+
+
+def test_apply_plans_only_the_block(monkeypatch):
+    # Photons past the block never meet the unitary: a plan steps through
+    # block modes only, and the spectators set the term's starting code.
+    rng = np.random.default_rng(29)
+    for n in range(1, 6):
+        _fresh_plans(monkeypatch)
+        u = fourier_unitary(n + 1)
+        state = protocol_input(random_coefficients(n, rng), random_qubit(rng))
+        assert any(any(occ[u.dimension :]) for occ in state.amplitudes)
+        first, second = (apply(u, state) for _ in range(2))
+        assert first.amplitudes == second.amplitudes
+        plans = list(optics_module._plans.values())
+        assert plans and all(isinstance(plan, optics_module._Plan) for plan in plans)
+        assert all(k < u.dimension for plan in plans for k, _ in plan.steps)
 
 
 def test_apply_plans_each_zero_pattern_apart(monkeypatch):
