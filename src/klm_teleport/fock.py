@@ -77,26 +77,29 @@ def _significant(terms: Iterable[tuple[Occupation, complex]]) -> dict[Occupation
 class PureState:
     """Sparse multimode pure state: occupation tuple -> complex amplitude.
 
-    The constructor refuses a mode count or photon count that
-    :func:`checked_count` refuses as a nonnegative integer, an occupation of
-    the wrong length and a NaN or infinite amplitude.  Zero amplitudes are
-    kept out of the map by the constructors below; ``mode_count == 0``
-    describes the fully measured remainder, key ``()``.
+    The constructor stores the mode count and every photon count as the
+    ``int`` that :func:`checked_count` returns for a nonnegative integer and
+    refuses any other, an occupation of the wrong length and a NaN or
+    infinite amplitude.  Zero amplitudes are kept out of the map by the
+    constructors below; ``mode_count == 0`` describes the fully measured
+    remainder, key ``()``.
     """
 
     mode_count: int
     amplitudes: dict[Occupation, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode_count", checked_count("mode count", self.mode_count, 0))
+        modes = checked_count("mode count", self.mode_count, 0)
+        amplitudes = {}
         for occ, amp in self.amplitudes.items():
-            if len(occ) != self.mode_count:
-                raise ValueError(f"occupation {occ} does not match mode count {self.mode_count}")
-            if not all(type(k) is int and k >= 0 for k in occ):
-                for k in occ:
-                    checked_count(f"photon count in occupation {occ}", k, 0)
+            if len(occ) != modes:
+                raise ValueError(f"occupation {occ} does not match mode count {modes}")
+            counts = tuple(checked_count(f"photon count in occupation {occ}", k, 0) for k in occ)
             if not cmath.isfinite(amp):
                 raise ValueError(f"amplitude {amp!r} of occupation {occ} is not finite")
+            amplitudes[counts] = amp
+        object.__setattr__(self, "mode_count", modes)
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @classmethod
     def _derived(cls, mode_count: int, amplitudes: dict[Occupation, complex]) -> "PureState":
@@ -113,7 +116,7 @@ class PureState:
 
     @classmethod
     def basis_state(cls, occupation: Iterable[int]) -> "PureState":
-        occ = tuple(checked_count("photon count", k, 0) for k in occupation)
+        occ = tuple(occupation)
         return cls(len(occ), {occ: 1.0 + 0j})
 
     @classmethod

@@ -10,10 +10,10 @@ skipping zero entries of U.  A k-mode U acts on the leading k modes, the ones
 ``measure_photon_counts`` measures; photons on later modes never meet U.  It
 is the package's only Fock engine: both oracles evolve their input through
 it, and so does the polarization correction circuit, as one slot unitary.
-Its integer bookkeeping depends only on a term's structure (mode count,
-block size, zero pattern of U and occupation), so a structure that comes
-back is planned once and then replayed with only the complex multiply-adds,
-bit for bit; a structure seen once is expanded directly.
+Its integer bookkeeping depends only on a term's structure (zero pattern of
+U and occupation), so a structure that comes back is planned once and then
+replayed with only the complex multiply-adds, bit for bit; a structure seen
+once is expanded directly.
 ``transition_amplitude`` evaluates one matrix element as a permanent,
 
     <T| U |S> = per(U[S, T]) / sqrt(prod(S_i!) * prod(T_l!))
@@ -141,8 +141,8 @@ def transition_amplitude(u: ModeUnitary, source: Occupation, target: Occupation)
     """Amplitude <target| U |source>; zero when photon numbers differ."""
     if len(source) != u.dimension or len(target) != u.dimension:
         raise ValueError("occupations must match the unitary's mode count")
-    if any(k < 0 for k in source) or any(k < 0 for k in target):
-        raise ValueError("occupations must be nonnegative")
+    source = [checked_count("source photon count", k, 0) for k in source]
+    target = [checked_count("target photon count", k, 0) for k in target]
     if sum(source) != sum(target):
         return 0j
     cols = _expand(source)
@@ -152,11 +152,7 @@ def transition_amplitude(u: ModeUnitary, source: Occupation, target: Occupation)
     for row in sub:
         if not any(row):
             return 0j
-    fact = 1
-    for k in source:
-        fact *= _FACTORIAL[k]
-    for k in target:
-        fact *= _FACTORIAL[k]
+    fact = math.prod([_FACTORIAL[k] for k in source + target])
     return complex(_permanent_rows(sub)) / math.sqrt(fact)
 
 
@@ -184,10 +180,11 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
     the identity-padded matrix's to the last bit: its unit entries can only
     flip the sign of a zero component (see Zeros).
 
-    Plans.  A source term's structure (mode count, block size, zero pattern
-    of ``u``, occupation) fixes the whole bookkeeping of its expansion: the
-    offset, which product lands on which monomial, in what order, and each
-    output's occupation and weight; only the arithmetic reads the matrix.
+    Plans.  A source term's structure (the zero pattern of ``u``, which fixes
+    the block, and the occupation) fixes the whole bookkeeping of its
+    expansion, photon by photon in mode order: the offset, which product
+    lands on which monomial, in what order, and each output's occupation and
+    weight; only the arithmetic reads the matrix.
     The first call on a structure expands the term and notes the structure;
     the second has ``_plan_term`` record the bookkeeping as a plan, which
     ``_replay`` then runs with only the complex multiply-adds, adding the same
@@ -217,22 +214,20 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
             f"a term holds {heaviest} photons; apply supports at most {MAX_PHOTONS} per term"
         )
     mat = u.matrix
-    place = [1 << 8 * (modes - 1 - l) for l in range(modes)]
-    # Only columns of occupied block modes are read.  Sparsest first: a column
-    # with few nonzero entries is multiplied in while the expansion is small.
+    place = [1 << 8 * (modes - 1 - l) for l in range(block)]
+    # Only columns of occupied block modes are read.
     occupied = [k for k, counts in zip(range(block), zip(*state.amplitudes)) if any(counts)]
     columns = {
         k: [(place[l], complex(mat[l, k])) for l in np.flatnonzero(mat[:, k])] for k in occupied
     }
     entries = {k: [entry for _, entry in column] for k, column in columns.items()}
-    order = sorted(occupied, key=lambda k: len(columns[k]))
-    shape = (modes, block, (mat != 0).tobytes())
+    zeros = (mat != 0).tobytes()
     occupations: dict[int, Occupation] = {}
     out: dict[int, complex] = {}
     for occ, amp in state.amplitudes.items():
         offset = int.from_bytes(bytes(occ[block:]), "big")
-        photons = [k for k in order for _ in range(occ[k])]
-        structure = (shape, occ)
+        photons = [k for k in occupied for _ in range(occ[k])]
+        structure = (zeros, occ)
         plan = _plans.get(structure)
         # Seen once: plan it if the budget has room.  The plan takes over the
         # one entry that marked the structure as seen.

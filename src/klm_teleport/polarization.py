@@ -42,6 +42,7 @@ from .teleport import (
     branch_table,
     checked_count,
     fourier_phase,
+    gc_paused,
     protocol_input,
     reconcile_outcomes,
     run_analytic,
@@ -201,6 +202,8 @@ class RotatedPBS:
         _rotator(mat, self.reflect_mode, -self.theta)
         return _rotator(mat, self.transmit_mode, -self.theta)
 
+
+@gc_paused()
 def run_oracle_polarization(
     rc: ResourceCoefficients, qubit: QubitAmplitudes
 ) -> list[TeleportOutcome]:
@@ -216,8 +219,8 @@ def run_oracle_polarization(
     H enters the H slots on rails {0, m+1..n} and the V slots on rails 1..m,
     logical V enters on rails m..n and 0..m-1, so in each polarization the two
     branches are one cyclic shift apart and the phase is ``fourier_phase`` of
-    the per-rail totals h_l + v_l.  An n above ``POLARIZATION_ORACLE_LIMIT``
-    raises ``ValueError`` before any work.
+    the per-rail totals h_l + v_l.  It runs under :func:`gc_paused`.  An n
+    above ``POLARIZATION_ORACLE_LIMIT`` raises ``ValueError`` before any work.
     """
     n = checked_count("polarization oracle size n", rc.n, 1, POLARIZATION_ORACLE_LIMIT)
     branches = [tuple(map(_dual, entry)) for entry in branch_table(n)]
@@ -232,12 +235,11 @@ def run_oracle_polarization(
     def phase_of(pattern: Occupation, _m: int) -> complex:
         return fourier_phase(tuple(map(add, pattern[0::2], pattern[1::2])))
 
-    def counted():
-        transform = ModeUnitary(np.kron(fourier_unitary(n + 1).matrix, np.eye(2)))
-        evolved = apply(transform, dual_rail(protocol_input(rc, qubit)))
-        return measure_photon_counts(evolved, transform.dimension)
-
-    return reconcile_outcomes(rc, qubit, counted, outcome_of, branches, phase_of)
+    transform = ModeUnitary(np.kron(fourier_unitary(n + 1).matrix, np.eye(2)))
+    measured = measure_photon_counts(
+        apply(transform, dual_rail(protocol_input(rc, qubit))), transform.dimension
+    )
+    return reconcile_outcomes(rc, qubit, measured, outcome_of, branches, phase_of)
 
 
 def teleported_state(

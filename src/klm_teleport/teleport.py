@@ -241,11 +241,14 @@ def run_analytic(rc: ResourceCoefficients, qubit: QubitAmplitudes) -> list[Telep
 def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector for the block, then restore the caller's state.
 
-    The oracles allocate many small tuples, dicts and complex values that
-    form no reference cycles, so the collector's generation-0 passes
-    find nothing to free and only cost time.  Nothing is collected here: a
-    caller that had the collector enabled gets it back enabled, one that had
-    disabled it keeps it disabled, also when the block raises.
+    Both oracles run under it, as ``@gc_paused()``.  They allocate many small
+    tuples, dicts and complex values that form no reference cycles, so the
+    collector's passes find nothing to free and only cost time.  Each builds
+    its states in its own frame, so they die with it before the collector
+    resumes instead of being promoted and walked by later full passes.
+    Nothing is collected here: a caller that had the collector enabled gets
+    it back enabled, one that had disabled it keeps it disabled, also when
+    the block raises.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -309,28 +312,24 @@ def derive_phase_correction(
 def reconcile_outcomes(
     rc: ResourceCoefficients,
     qubit: QubitAmplitudes,
-    simulate: Callable[[], Iterable[MeasurementOutcome]],
+    measured: Iterable[MeasurementOutcome],
     outcome_of: Callable[[Occupation], int],
     branches: Sequence[tuple[Occupation, ...]],
     phase_of: Callable[[Occupation, int], complex],
 ) -> list[TeleportOutcome]:
     """Check simulated detection patterns against the outcome law and aggregate by m.
 
-    The encoding-independent half of both oracles.  The encoding supplies
-    ``simulate()``, which evolves the protocol and returns its photon-count
-    outcomes; ``outcome_of(pattern)``, the outcome m of a pattern, which
-    raises OracleMismatchError for a pattern the encoding cannot produce;
+    The encoding-independent half of both oracles, which call it with the
+    collector paused (:func:`gc_paused`).  The encoding supplies ``measured``,
+    the photon-count outcomes of its evolved protocol, read once;
+    ``outcome_of(pattern)``, the outcome m of a pattern, which raises
+    OracleMismatchError for a pattern the encoding cannot produce;
     ``branches[m]``, the branch occupations of the unmeasured modes for
     m = 0 .. n+1 (:func:`branch_table`: the lone spectator occupation of a
     failure, or the logical-zero and logical-one occupations of a success); and
     ``phase_of(pattern, m)``, the unit factor on the logical-one amplitude of
     a success pattern, which sees only the pattern so that it cannot borrow
     the phase from the simulation it checks.
-
-    ``simulate`` runs with the cyclic garbage collector paused (see
-    :func:`gc_paused`).  It must build its states in its own frame: they then
-    die with it before the collector resumes, instead of being promoted by
-    its first pass and walked by the full passes that follow.
 
     Every pattern, whatever its probability, may hold amplitude only on its
     branch occupations; any other key is refused, however small, as no noise
@@ -354,53 +353,50 @@ def reconcile_outcomes(
     magnitudes = [(abs(law.alpha), abs(law.beta)) if law is not None else None for law in laws]
     per_m_qubit: dict[int, tuple[float, QubitAmplitudes]] = {}
 
-    with gc_paused():
-        for pattern, prob, conditional in simulate():
-            m = outcome_of(pattern)
-            if not 0 <= m <= n + 1:
-                raise OracleMismatchError(f"impossible outcome m={m} in pattern {pattern}")
-            occupations = branches[m]
-            amplitudes = conditional.amplitudes
-            if not all(map(occupations.__contains__, amplitudes)):
-                stray = next(occ for occ in amplitudes if occ not in occupations)
-                raise OracleMismatchError(
-                    f"pattern {pattern} holds amplitude {amplitudes[stray]!r} on {stray}, "
-                    "outside its branch occupations"
-                )
-            records = per_m_patterns[m]
-            if not 1 <= m <= n:
-                records.append(PatternRecord(pattern, prob, 1 + 0j, float("nan")))
-                continue
+    for pattern, prob, conditional in measured:
+        m = outcome_of(pattern)
+        if not 0 <= m <= n + 1:
+            raise OracleMismatchError(f"impossible outcome m={m} in pattern {pattern}")
+        occupations = branches[m]
+        amplitudes = conditional.amplitudes
+        if not all(map(occupations.__contains__, amplitudes)):
+            stray = next(occ for occ in amplitudes if occ not in occupations)
+            raise OracleMismatchError(
+                f"pattern {pattern} holds amplitude {amplitudes[stray]!r} on {stray}, "
+                "outside its branch occupations"
+            )
+        records = per_m_patterns[m]
+        if not 1 <= m <= n:
+            records.append(PatternRecord(pattern, prob, 1 + 0j, float("nan")))
+            continue
 
-            law = laws[m]
-            if law is None:
-                raise OracleMismatchError(
-                    f"pattern {pattern} detected m={m}, which the law forbids"
-                )
-            # Per-pattern tolerances loosen for negligible-probability patterns,
-            # whose normalized amplitudes amplify machine noise; they contribute
-            # nothing at the aggregate level, which keeps the strict tolerance.
-            pat_tol = ORACLE_TOL if prob >= 1e-12 else 1e-6
-            amp0 = amplitudes.get(occupations[0], 0j)
-            amp1 = amplitudes.get(occupations[1], 0j)
-            expected0, expected1 = magnitudes[m]
-            if abs(abs(amp0) - expected0) > pat_tol or abs(abs(amp1) - expected1) > pat_tol:
-                raise OracleMismatchError(
-                    f"pattern {pattern} magnitudes ({abs(amp0):.12f}, {abs(amp1):.12f}) "
-                    f"differ from the law ({expected0:.12f}, {expected1:.12f})"
-                )
+        law = laws[m]
+        if law is None:
+            raise OracleMismatchError(f"pattern {pattern} detected m={m}, which the law forbids")
+        # Per-pattern tolerances loosen for negligible-probability patterns,
+        # whose normalized amplitudes amplify machine noise; they contribute
+        # nothing at the aggregate level, which keeps the strict tolerance.
+        pat_tol = ORACLE_TOL if prob >= 1e-12 else 1e-6
+        amp0 = amplitudes.get(occupations[0], 0j)
+        amp1 = amplitudes.get(occupations[1], 0j)
+        expected0, expected1 = magnitudes[m]
+        if abs(abs(amp0) - expected0) > pat_tol or abs(abs(amp1) - expected1) > pat_tol:
+            raise OracleMismatchError(
+                f"pattern {pattern} magnitudes ({abs(amp0):.12f}, {abs(amp1):.12f}) "
+                f"differ from the law ({expected0:.12f}, {expected1:.12f})"
+            )
 
-            phase = phase_of(pattern, m) if expected0 and expected1 else 1 + 0j
-            corrected = QubitAmplitudes.from_unnormalized(amp0, amp1 * phase)
-            fidelity = corrected.fidelity_with(law)
-            if fidelity < 1.0 - pat_tol:
-                raise OracleMismatchError(
-                    f"pattern {pattern} corrected fidelity {fidelity!r} below tolerance"
-                )
-            best = per_m_qubit.get(m)
-            if best is None or prob > best[0]:
-                per_m_qubit[m] = (prob, corrected)
-            records.append(PatternRecord(pattern, prob, phase, fidelity))
+        phase = phase_of(pattern, m) if expected0 and expected1 else 1 + 0j
+        corrected = QubitAmplitudes.from_unnormalized(amp0, amp1 * phase)
+        fidelity = corrected.fidelity_with(law)
+        if fidelity < 1.0 - pat_tol:
+            raise OracleMismatchError(
+                f"pattern {pattern} corrected fidelity {fidelity!r} below tolerance"
+            )
+        best = per_m_qubit.get(m)
+        if best is None or prob > best[0]:
+            per_m_qubit[m] = (prob, corrected)
+        records.append(PatternRecord(pattern, prob, phase, fidelity))
 
     outcomes = []
     for law in analytic:
@@ -426,6 +422,7 @@ def reconcile_outcomes(
     return outcomes
 
 
+@gc_paused()
 def run_oracle(
     rc: ResourceCoefficients,
     qubit: QubitAmplitudes,
@@ -438,8 +435,9 @@ def run_oracle(
     the front half) through the (n+1)-point Fourier transform, counts them, and
     hands the patterns to :func:`reconcile_outcomes` with their photon total as
     the outcome m, the branch occupations of :func:`branch_table` and phases
-    from :func:`derive_phase_correction`.  Raises ``ValueError`` before any work
-    unless :func:`admit_oracle` admits n under ``limit``.
+    from :func:`derive_phase_correction`, all under :func:`gc_paused`.  Raises
+    ``ValueError`` before any work unless :func:`admit_oracle` admits n under
+    ``limit``.
     """
     n = rc.n
     admit_oracle(n, limit)
@@ -447,12 +445,11 @@ def run_oracle(
     def phase_of(pattern: Occupation, m: int) -> complex:
         return derive_phase_correction(pattern, m, rc)
 
-    def counted():
-        transform = fourier_unitary(n + 1)
-        evolved = apply(transform, protocol_input(rc, qubit))
-        return measure_photon_counts(evolved, transform.dimension)
-
-    return reconcile_outcomes(rc, qubit, counted, sum, branch_table(n), phase_of)
+    transform = fourier_unitary(n + 1)
+    measured = measure_photon_counts(
+        apply(transform, protocol_input(rc, qubit)), transform.dimension
+    )
+    return reconcile_outcomes(rc, qubit, measured, sum, branch_table(n), phase_of)
 
 
 def oracle_deviation(

@@ -1,5 +1,6 @@
 """Sparse Fock-state machinery: states, tensor products, measurement."""
 
+import json
 import math
 
 import numpy as np
@@ -78,6 +79,12 @@ def test_pure_state_stores_a_plain_mode_count():
         (1, 0, 1): evolved.amplitude((1, 0)),
         (0, 1, 1): evolved.amplitude((0, 1)),
     }
+    # Numpy photon counts are stored as ints too, so a measured pattern serializes.
+    counted = PureState(2, {(np.int64(1), np.uint8(0)): 1.0})
+    assert all(type(k) is int for occ in counted.amplitudes for k in occ)
+    (outcome,) = measure_photon_counts(counted, 1)
+    assert json.dumps(outcome.pattern) == "[1]"
+    assert json.dumps(list(outcome.conditional.amplitudes)) == "[[0]]"
 
 
 def test_from_terms_prunes_negligible_amplitudes():

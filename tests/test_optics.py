@@ -238,6 +238,14 @@ def test_transition_amplitude_photon_number_mismatch_is_zero():
         transition_amplitude(splitter, (1,), (1, 1))
     with pytest.raises(ValueError):
         transition_amplitude(splitter, (1, -1), (0, 0))
+    # Counts follow checked_count: bool and float are refused, numpy integers pass.
+    for source, target in [((True, 0), (1, 0)), ((1.0, 0), (1, 0)), ((1, 0), (0, -1))]:
+        with pytest.raises(ValueError, match="photon count must be"):
+            transition_amplitude(splitter, source, target)
+    numpy_counts = (np.int64(1), np.uint8(1))
+    assert transition_amplitude(splitter, numpy_counts, (2, 0)) == transition_amplitude(
+        splitter, (1, 1), (2, 0)
+    )
 
 
 def test_transition_amplitudes_form_unitary_map_on_fixed_photon_sector():
