@@ -52,12 +52,28 @@ def checked_count(name: str, value: int, low: int = 1, high: int | None = None) 
     return value
 
 
-def squared_norm(amplitudes: Iterable[complex], what: str) -> float:
-    """``fsum`` of |a|^2; ``ValueError`` naming ``what`` if it overflows a float."""
+def _checked_fsum(squares: Iterable[float], what: str) -> float:
+    """``fsum`` of squared magnitudes; ``ValueError`` naming ``what`` if it overflows a float."""
     try:
-        return math.fsum(abs(a) ** 2 for a in amplitudes)
+        return math.fsum(squares)
     except OverflowError:
         raise ValueError(f"{what} norm overflows a float") from None
+
+
+def squared_norm(amplitudes: Iterable[complex], what: str) -> float:
+    """``fsum`` of |a|^2; ``ValueError`` naming ``what`` if it overflows a float."""
+    return _checked_fsum((abs(a) ** 2 for a in amplitudes), what)
+
+
+def _require_unit_norm(square: float) -> None:
+    """``ValueError`` unless a state's squared norm puts its norm within ``STATE_NORM_TOL`` of 1.
+
+    The one normalization rule for states: ``PureState.require_normalized``
+    and :func:`measure_photon_counts` apply it.
+    """
+    dev = abs(math.sqrt(square) - 1.0)
+    if not dev <= STATE_NORM_TOL:
+        raise ValueError(f"state is not normalized (|norm - 1| = {dev:.3e})")
 
 
 def _significant(terms: Iterable[tuple[Occupation, complex]]) -> dict[Occupation, complex]:
@@ -134,9 +150,7 @@ class PureState:
         return math.sqrt(squared_norm(self.amplitudes.values(), "state"))
 
     def require_normalized(self) -> None:
-        dev = abs(self.norm() - 1.0)
-        if not dev <= STATE_NORM_TOL:
-            raise ValueError(f"state is not normalized (|norm - 1| = {dev:.3e})")
+        _require_unit_norm(squared_norm(self.amplitudes.values(), "state"))
 
 
 def tensor(left: PureState, right: PureState) -> PureState:
@@ -161,26 +175,89 @@ def measure_photon_counts(state: PureState, measured: int) -> list[MeasurementOu
     sorted by pattern, omitting patterns with probability below
     ``OUTCOME_EPS``.  Conditional amplitudes keep their phases, so
     recombining sqrt(probability) * pattern x conditional reconstructs the
-    input state exactly.  An unnormalized state raises ``ValueError``.
+    input state exactly.  An unnormalized state raises ``ValueError`` by the
+    rule of ``PureState.require_normalized``, applied to the ``fsum`` of the
+    patterns' probabilities (the squared norm, up to their rounding), so no
+    second pass over the amplitudes is made.  Each pattern's branch is a new
+    map, scaled in place; the input state is never touched.
     """
     measured = checked_count("measured mode count", measured, 1, state.mode_count)
-    state.require_normalized()
 
     grouped: dict[Occupation, dict[Occupation, complex]] = {}
     for occ, amp in state.amplitudes.items():
-        grouped.setdefault(occ[:measured], {})[occ[measured:]] = amp
+        pattern = occ[:measured]
+        branch = grouped.get(pattern)
+        if branch is None:
+            branch = grouped[pattern] = {}
+        branch[occ[measured:]] = amp
 
     kept = state.mode_count - measured
+    probabilities = []
     outcomes: list[MeasurementOutcome] = []
     for pattern in sorted(grouped):
         branch = grouped[pattern]
-        prob = math.fsum([abs(a) ** 2 for a in branch.values()])
+        prob = squared_norm(branch.values(), "state")
+        probabilities.append(prob)
         if prob < OUTCOME_EPS:
             continue
         scale = 1.0 / math.sqrt(prob)
-        conditional = PureState._derived(kept, {occ: a * scale for occ, a in branch.items()})
-        outcomes.append(MeasurementOutcome(pattern, prob, conditional))
+        for occ, a in branch.items():
+            branch[occ] = a * scale
+        outcomes.append(MeasurementOutcome(pattern, prob, PureState._derived(kept, branch)))
+    _require_unit_norm(_checked_fsum(probabilities, "state"))
     return outcomes
+
+
+def _require_unit_pair(alpha: complex, beta: complex) -> None:
+    """``ValueError`` unless both are finite and |alpha|^2 + |beta|^2 is within ``NORM_TOL`` of 1.
+
+    The invariant of :class:`QubitAmplitudes`, checked for every pair that
+    claims to be a qubit, whether or not it becomes one.
+    """
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise ValueError("qubit amplitudes must be finite")
+    try:
+        dev = abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
+    except OverflowError:
+        raise ValueError("qubit norm overflows a float") from None
+    if dev > NORM_TOL:
+        raise ValueError(f"qubit amplitudes are not normalized (deviation {dev:.3e})")
+
+
+def _unit_pair(alpha: complex, beta: complex) -> tuple[complex, complex]:
+    """(alpha, beta) divided by their norm, held to :func:`_require_unit_pair`.
+
+    The one normalization of a qubit: ``QubitAmplitudes.from_unnormalized``
+    builds on it, and the oracles' reconciliation calls it per pattern without
+    building a ``QubitAmplitudes``.  ``ValueError`` unless |alpha|^2 +
+    |beta|^2 is a normal float: it overflows, underflows, or the pair is zero.
+    """
+    try:
+        square = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:
+        square = math.inf
+    if math.isinf(square):
+        raise ValueError("qubit norm overflows a float")
+    if square < sys.float_info.min:
+        if alpha or beta:
+            raise ValueError("qubit norm underflows a float")
+        raise ValueError("zero vector cannot define a qubit")
+    nrm = math.sqrt(square)
+    alpha, beta = alpha / nrm, beta / nrm
+    _require_unit_pair(alpha, beta)
+    return alpha, beta
+
+
+def _pair_fidelity(
+    alpha: complex, beta: complex, other_alpha: complex, other_beta: complex
+) -> float:
+    """|conj(alpha) other_alpha + conj(beta) other_beta|^2, the overlap of two qubits.
+
+    The one fidelity formula: ``QubitAmplitudes.fidelity_with`` and the
+    oracles' per-pattern check both take it.
+    """
+    overlap = alpha.conjugate() * other_alpha + beta.conjugate() * other_beta
+    return abs(overlap) ** 2
 
 
 @dataclass(frozen=True)
@@ -193,30 +270,12 @@ class QubitAmplitudes:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
-            raise ValueError("qubit amplitudes must be finite")
-        try:
-            dev = abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0)
-        except OverflowError:
-            raise ValueError("qubit norm overflows a float") from None
-        if dev > NORM_TOL:
-            raise ValueError(f"qubit amplitudes are not normalized (deviation {dev:.3e})")
+        _require_unit_pair(self.alpha, self.beta)
 
     @classmethod
     def from_unnormalized(cls, alpha: complex, beta: complex) -> "QubitAmplitudes":
-        """Divide by the norm; raises unless |alpha|^2 + |beta|^2 is a normal float."""
-        try:
-            square = abs(alpha) ** 2 + abs(beta) ** 2
-        except OverflowError:
-            square = math.inf
-        if math.isinf(square):
-            raise ValueError("qubit norm overflows a float")
-        if square < sys.float_info.min:
-            if alpha or beta:
-                raise ValueError("qubit norm underflows a float")
-            raise ValueError("zero vector cannot define a qubit")
-        nrm = math.sqrt(square)
-        return cls(alpha / nrm, beta / nrm)
+        """Divide by the norm (:func:`_unit_pair`), refusing a square that is no normal float."""
+        return cls(*_unit_pair(alpha, beta))
 
     @classmethod
     def haar_random(cls, rng: np.random.Generator) -> "QubitAmplitudes":
@@ -224,5 +283,4 @@ class QubitAmplitudes:
         return cls.from_unnormalized(z[0] + 1j * z[1], z[2] + 1j * z[3])
 
     def fidelity_with(self, other: "QubitAmplitudes") -> float:
-        overlap = self.alpha.conjugate() * other.alpha + self.beta.conjugate() * other.beta
-        return abs(overlap) ** 2
+        return _pair_fidelity(self.alpha, self.beta, other.alpha, other.beta)

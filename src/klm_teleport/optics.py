@@ -138,12 +138,22 @@ def _expand(occupation: Sequence[int]) -> list[int]:
 
 
 def transition_amplitude(u: ModeUnitary, source: Occupation, target: Occupation) -> complex:
-    """Amplitude <target| U |source>; zero when photon numbers differ."""
+    """Amplitude <target| U |source>; zero when photon numbers differ.
+
+    Like ``apply``, it refuses a source of more than ``MAX_PHOTONS`` photons
+    with ``ValueError`` before any permanent.
+    """
     if len(source) != u.dimension or len(target) != u.dimension:
         raise ValueError("occupations must match the unitary's mode count")
     source = [checked_count("source photon count", k, 0) for k in source]
     target = [checked_count("target photon count", k, 0) for k in target]
-    if sum(source) != sum(target):
+    photons = sum(source)
+    if photons > MAX_PHOTONS:
+        raise ValueError(
+            f"the source holds {photons} photons; "
+            f"transition_amplitude supports at most {MAX_PHOTONS}"
+        )
+    if photons != sum(target):
         return 0j
     cols = _expand(source)
     rows = _expand(target)
@@ -247,7 +257,7 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
         for code, coeff, weight in zip(targets, coeffs, weights):
             out[code] = out.get(code, 0j) + coeff * weight
 
-    terms = _significant((occupations[code], a) for code, a in out.items())
+    terms = _significant(zip(map(occupations.__getitem__, out), out.values()))
     result = PureState._derived(modes, terms)
     drift = abs(result.norm() - 1.0)
     if drift > 1e-10:

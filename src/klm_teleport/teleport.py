@@ -41,6 +41,8 @@ from .fock import (
     Occupation,
     PureState,
     QubitAmplitudes,
+    _pair_fidelity,
+    _unit_pair,
     checked_count,
     measure_photon_counts,
     squared_norm,
@@ -344,6 +346,16 @@ def reconcile_outcomes(
     ``phase_of`` is not asked.  The most probable pattern's corrected qubit
     represents each m, and the aggregated probability of each m must match the
     law within ``ORACLE_TOL``.  Raises OracleMismatchError on any disagreement.
+
+    Every check runs on every pattern: branch membership, then for a success
+    pattern the law's m, both branch magnitudes, the normalization of the
+    corrected pair (``fock._unit_pair``: its overflow, underflow and zero
+    refusals and the ``NORM_TOL`` invariant of ``QubitAmplitudes``) and the
+    corrected-fidelity bound; then each m's aggregate and the total.  The
+    corrected pair stays two complex numbers and its fidelity is
+    ``QubitAmplitudes.fidelity_with``'s formula (``fock._pair_fidelity``), so
+    only each m's representative becomes a ``QubitAmplitudes``, once, with
+    the same bits.
     """
     n = rc.n
     analytic = run_analytic(rc, qubit)
@@ -351,7 +363,8 @@ def reconcile_outcomes(
     per_m_patterns: list[list[PatternRecord]] = [[] for _ in analytic]
     laws = [law.conditional_qubit for law in analytic]
     magnitudes = [(abs(law.alpha), abs(law.beta)) if law is not None else None for law in laws]
-    per_m_qubit: dict[int, tuple[float, QubitAmplitudes]] = {}
+    # m -> (probability, alpha, beta) of its most probable pattern's corrected pair.
+    per_m_best: dict[int, tuple[float, complex, complex]] = {}
 
     for pattern, prob, conditional in measured:
         m = outcome_of(pattern)
@@ -387,20 +400,21 @@ def reconcile_outcomes(
             )
 
         phase = phase_of(pattern, m) if expected0 and expected1 else 1 + 0j
-        corrected = QubitAmplitudes.from_unnormalized(amp0, amp1 * phase)
-        fidelity = corrected.fidelity_with(law)
+        alpha, beta = _unit_pair(amp0, amp1 * phase)
+        fidelity = _pair_fidelity(alpha, beta, law.alpha, law.beta)
         if fidelity < 1.0 - pat_tol:
             raise OracleMismatchError(
                 f"pattern {pattern} corrected fidelity {fidelity!r} below tolerance"
             )
-        best = per_m_qubit.get(m)
+        best = per_m_best.get(m)
         if best is None or prob > best[0]:
-            per_m_qubit[m] = (prob, corrected)
+            per_m_best[m] = (prob, alpha, beta)
         records.append(PatternRecord(pattern, prob, phase, fidelity))
 
     outcomes = []
     for law in analytic:
         records = tuple(per_m_patterns[law.m])
+        best = per_m_best.get(law.m)
         prob = math.fsum(record.probability for record in records)
         if abs(prob - law.probability) > ORACLE_TOL:
             raise OracleMismatchError(
@@ -412,7 +426,7 @@ def reconcile_outcomes(
                 m=law.m,
                 probability=prob,
                 qubit_mode=law.qubit_mode,
-                conditional_qubit=per_m_qubit.get(law.m, (0.0, None))[1],
+                conditional_qubit=None if best is None else QubitAmplitudes(*best[1:]),
                 patterns=records,
             )
         )

@@ -181,6 +181,30 @@ def test_measurement_validates_inputs():
             measure_photon_counts(state, bad)
 
 
+def test_measurement_judges_the_norm_from_its_pattern_sums():
+    """The norm check reads the patterns' probabilities, with the state rule's messages."""
+    with pytest.raises(ValueError, match="state norm overflows a float"):
+        measure_photon_counts(PureState(1, {(0,): 1e200}), 1)
+    # Each pattern's sum is finite; only their total overflows.
+    with pytest.raises(ValueError, match="state norm overflows a float"):
+        measure_photon_counts(PureState(1, {(0,): 1e154, (1,): 1e154}), 1)
+    for norm, accepted in ((1 + 1e-8, False), (1 + 1e-10, True)):
+        amp = norm / math.sqrt(2)
+        state = PureState(2, {(1, 0): amp, (0, 1): amp})
+        if accepted:
+            assert len(measure_photon_counts(state, 1)) == 2
+        else:
+            with pytest.raises(ValueError, match="state is not normalized"):
+                measure_photon_counts(state, 1)
+    # Conditionals are scaled in place, in maps of their own.
+    state = random_state(3, 2, np.random.default_rng(13))
+    before = repr(state.amplitudes)
+    for count in (1, 2, 3):
+        outcomes = measure_photon_counts(state, count)
+        assert all(o.conditional.amplitudes is not state.amplitudes for o in outcomes)
+        assert repr(state.amplitudes) == before
+
+
 def test_measurement_omits_patterns_below_outcome_eps():
     # Pattern (0,) has probability 1e-16, below OUTCOME_EPS = 1e-15.
     state = PureState(2, {(1, 0): math.sqrt(1 - 1e-16), (0, 1): 1e-8})

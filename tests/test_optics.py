@@ -446,6 +446,15 @@ def test_apply_handles_39_photons_per_term_and_refuses_40():
         apply(u, PureState.basis_state((20, 10, 10)))
 
 
+def test_transition_amplitude_refuses_more_photons_than_the_engine_holds():
+    # (40, 0) overran the factorial table; (20, 20) passes every per-count
+    # lookup and would start a 2^40-step permanent.
+    splitter = fourier_unitary(2)
+    for source in [(40, 0), (20, 20)]:
+        with pytest.raises(ValueError, match="the source holds 40 photons.*at most 39"):
+            transition_amplitude(splitter, source, source)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=1000))
 def test_permanent_gray_code_agrees_with_naive_on_random_4x4(seed):

@@ -496,6 +496,51 @@ def test_single_branch_outcomes_take_no_phase(monkeypatch, encoding, inputs):
         assert asked == []
 
 
+@pytest.mark.parametrize(
+    "encoding, sizes", [("number", range(1, 7)), ("polarization", range(1, 5))]
+)
+def test_pattern_checks_match_the_public_qubit_route(monkeypatch, encoding, sizes):
+    """Each success record is what ``QubitAmplitudes`` gives for its pattern, to the bit."""
+    module, oracle, outcome_of, encode = ENCODINGS[encoding]
+    measure = module.measure_photon_counts
+    measured = []
+
+    def kept(state, modes):
+        measured[:] = measure(state, modes)
+        return list(measured)
+
+    monkeypatch.setattr(module, "measure_photon_counts", kept)
+    rng = np.random.default_rng(29)
+    for n in sizes:
+        values = [complex(v) for v in rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)]
+        if n == 3:
+            values[1] = 0j  # single-branch outcomes at m = 1 and 2
+        rc = normalize_coefficients(values, renormalize=True)
+        qubit = random_qubit(rng)
+        outcomes = oracle(rc, qubit)
+        conditionals = {o.pattern: o.conditional.amplitudes for o in measured}
+        for law, outcome in zip(run_analytic(rc, qubit), outcomes):
+            if not 1 <= law.m <= n:
+                assert outcome.conditional_qubit is None
+                continue
+            zero, one = (
+                next(iter(encode(PureState.basis_state(occ)).amplitudes))
+                for occ in branch_table(n)[law.m]
+            )
+            qubits = []
+            for record in outcome.patterns:
+                assert outcome_of(record.pattern) == law.m
+                amplitudes = conditionals[record.pattern]
+                corrected = QubitAmplitudes.from_unnormalized(
+                    amplitudes.get(zero, 0j), amplitudes.get(one, 0j) * record.corrective_phase
+                )
+                assert record.corrected_fidelity == corrected.fidelity_with(law.conditional_qubit)
+                qubits.append((record.probability, corrected))
+            # The first of the most probable patterns represents m.
+            best = max(qubits, key=lambda pair: pair[0])[1]
+            assert outcome.conditional_qubit == best
+
+
 @pytest.mark.parametrize("encoding", sorted(ENCODINGS))
 def test_oracles_pause_the_collector_and_restore_its_state(monkeypatch, encoding):
     module, oracle, _, _ = ENCODINGS[encoding]
