@@ -80,6 +80,23 @@ def test_teleport_oracle_flag_reports_deviation(capsys):
     assert payload["oracle"]["pattern_count"] >= 1
 
 
+def test_oracle_accepts_a_branch_below_the_prune_floor(capsys):
+    # At m = 1 the law's logical-zero magnitude is 2.1e-10, but its amplitude
+    # before normalization is below PRUNE_EPS, so apply drops it: a valid
+    # input, not a mismatch (it once exited 3).
+    code, out, err = run_cli(
+        capsys,
+        "teleport",
+        "--coeffs",
+        "inline:0.7071067811865476,1.5e-15,0.7071067811865476",
+        "--qubit",
+        "1,0+1e-5,0",
+        "--oracle",
+    )
+    assert code == 0, err
+    assert json.loads(out)["oracle"]["max_deviation"] < 1e-10
+
+
 def test_teleport_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "teleport", "--n", "2", "--coeffs", "uniform", "--format", "csv"

@@ -1,6 +1,7 @@
 """Mode unitaries, permanents, and multiphoton transition amplitudes."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from klm_teleport import (
     tensor,
     transition_amplitude,
 )
+from klm_teleport.optics import MAX_PERMANENT
 from klm_teleport.polarization import POLARIZATION_ORACLE_LIMIT
 from klm_teleport.teleport import ResourceCoefficients, protocol_input
 
@@ -448,11 +450,21 @@ def test_apply_handles_39_photons_per_term_and_refuses_40():
 
 def test_transition_amplitude_refuses_more_photons_than_the_engine_holds():
     # (40, 0) overran the factorial table; (20, 20) passes every per-count
-    # lookup and would start a 2^40-step permanent.
+    # lookup and would start a 2^40-step permanent, and (39, 0), which fits
+    # the table, a 2^39-step one.
     splitter = fourier_unitary(2)
-    for source in [(40, 0), (20, 20)]:
-        with pytest.raises(ValueError, match="the source holds 40 photons.*at most 39"):
+    start = time.perf_counter()
+    for source in [(40, 0), (20, 20), (39, 0), (MAX_PERMANENT + 1, 0)]:
+        refusal = f"the source holds {sum(source)} photons.*at most {MAX_PERMANENT}"
+        with pytest.raises(ValueError, match=refusal):
             transition_amplitude(splitter, source, source)
+    assert time.perf_counter() - start < 1.0
+    # At the limit the call goes ahead: no path from mode 0 to mode 1.
+    blocked = ModeUnitary(np.eye(2))
+    assert transition_amplitude(blocked, (MAX_PERMANENT, 0), (0, MAX_PERMANENT)) == 0j
+    # Below it, |k, 0> -> |k, 0> through the splitter is U[0, 0]^k.
+    u00 = splitter.matrix[0, 0]
+    assert transition_amplitude(splitter, (8, 0), (8, 0)) == pytest.approx(u00**8, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -41,7 +41,11 @@ from klm_teleport import (
     teleported_state,
     transition_amplitude,
 )
+from klm_teleport.fock import OUTCOME_EPS, PRUNE_EPS
+from klm_teleport.polarization import POLARIZATION_ORACLE_LIMIT
 from klm_teleport.teleport import (
+    ORACLE_LIMIT,
+    ORACLE_TOL,
     branch_table,
     fourier_phase,
     normalize_coefficients,
@@ -392,6 +396,31 @@ def _fill_the_empty_branch_at_m2(outcomes, outcome_of, encode):
     outcomes[index] = MeasurementOutcome(pattern, prob, filled)
 
 
+def _moved(conditional, shift):
+    # The stronger branch amplitude, lengthened by ``shift`` at its own phase.
+    amps = dict(conditional.amplitudes)
+    occ = max(amps, key=lambda o: abs(amps[o]))
+    amps[occ] *= 1 + shift / abs(amps[occ])
+    return PureState(conditional.mode_count, amps)
+
+
+def _move_a_probable_magnitude_by_2_oracle_tol(outcomes, outcome_of, encode):
+    # Above probability 1e-10 the per-pattern bound is ORACLE_TOL itself.
+    index = next(i for i, o in enumerate(outcomes) if outcome_of(o.pattern) == 1)
+    pattern, prob, conditional = outcomes[index]
+    assert prob >= 1e-10
+    outcomes[index] = MeasurementOutcome(pattern, prob, _moved(conditional, 2 * ORACLE_TOL))
+
+
+def _add_a_1e13_pattern_moved_by_1e7(outcomes, outcome_of, encode):
+    # A copy of an m = 1 pattern at probability 1e-13 with a magnitude moved by
+    # 1e-7, above PRUNE_EPS / sqrt(1e-13) = 3.2e-9.  The aggregate moves by
+    # 1e-13 only, so the per-pattern bound alone can refuse it.
+    pattern, _, conditional = next(o for o in outcomes if outcome_of(o.pattern) == 1)
+    assert 1e-7 > PRUNE_EPS / math.sqrt(1e-13)
+    outcomes.append(MeasurementOutcome(pattern, 1e-13, _moved(conditional, 1e-7)))
+
+
 #: module whose measurement is corrupted, its oracle, how it reads m from a
 #: pattern, and how it encodes a number-encoded state
 ENCODINGS = {
@@ -430,6 +459,10 @@ LEAK = "outside its branch occupations"
         ("polarization", _leak_1e12_on_a_success, LEAK),
         ("number", _leak_1e12_on_a_failure, LEAK),
         ("polarization", _leak_1e12_on_a_failure, LEAK),
+        ("number", _move_a_probable_magnitude_by_2_oracle_tol, "magnitudes"),
+        ("polarization", _move_a_probable_magnitude_by_2_oracle_tol, "magnitudes"),
+        ("number", _add_a_1e13_pattern_moved_by_1e7, "magnitudes"),
+        ("polarization", _add_a_1e13_pattern_moved_by_1e7, "magnitudes"),
     ],
 )
 def test_oracles_catch_a_corrupted_pattern(monkeypatch, encoding, corrupt, message):
@@ -451,6 +484,56 @@ def test_oracles_catch_a_corrupted_pattern(monkeypatch, encoding, corrupt, messa
         oracle(GAPPED, QubitAmplitudes(0.6, 0.8))
     # The collector the oracle paused is back as the caller had it.
     assert gc.isenabled() is collecting
+
+
+def _skewed(seed, n):
+    """A resource whose |c_i| spread over 15 decades, and a qubit with |beta| down to 1e-8."""
+    rng = np.random.default_rng(seed)
+    size = 10.0 ** rng.uniform(-15, 0, n + 1)
+    values = size * np.exp(2j * np.pi * rng.uniform(size=n + 1))
+    rc = normalize_coefficients([complex(v) for v in values], renormalize=True)
+    return rc, QubitAmplitudes.from_unnormalized(1.0, complex(10.0 ** rng.uniform(-8, 0)))
+
+
+def test_oracles_accept_strongly_skewed_resources():
+    """Valid inputs on which the Fock engine's two truncations once read as mismatches."""
+    # At pattern (0, 0, 0, 0, 2, 1) the law's logical-zero magnitude is 3.3e-10,
+    # but apply pruned that amplitude: within PRUNE_EPS / sqrt(prob), not a mismatch.
+    rc = ResourceCoefficients((0.6, 2e-15, 0.8))
+    qubit = QubitAmplitudes.from_unnormalized(1, 1e-5)
+    oracle = run_oracle_polarization(rc, qubit)
+    assert oracle_deviation(run_analytic(rc, qubit), oracle) < ORACLE_TOL
+    # The patterns measure_photon_counts omits below OUTCOME_EPS leave the
+    # total 1.3e-12 short of 1; each m's aggregate still matches the law.
+    rc, qubit = _skewed(85, 5)
+    oracle = run_oracle_polarization(rc, qubit)
+    total = math.fsum(outcome.probability for outcome in oracle)
+    assert 1e-12 < 1.0 - total < (rc.n + 2) * ORACLE_TOL
+    assert oracle_deviation(run_analytic(rc, qubit), oracle) < ORACLE_TOL
+
+
+def test_omitted_patterns_fit_the_aggregate_tolerance_at_the_oracle_limits():
+    """Each m's aggregate may lack its omitted patterns, each below OUTCOME_EPS.
+
+    So the largest per-m pattern count times OUTCOME_EPS must stay below
+    ORACLE_TOL at both oracle limits; raising a limit past that headroom
+    (number n = 10, polarization n = 7) fails here.
+    """
+    n = ORACLE_LIMIT
+    # m photons on n + 1 modes, most patterns at m = n + 1.
+    number = max(math.comb(m + n, n) for m in range(n + 2))
+    n = POLARIZATION_ORACLE_LIMIT
+    # n + 1 - m horizontal and m vertical photons, each kind on n + 1 slots.
+    polarization = max(math.comb(2 * n + 1 - m, n) * math.comb(m + n, n) for m in range(n + 2))
+    assert number * OUTCOME_EPS < ORACLE_TOL
+    assert polarization * OUTCOME_EPS < ORACLE_TOL
+
+
+def test_the_per_pattern_bound_is_max_of_the_tolerance_and_the_prune_floor():
+    # Below the crossover the prune term alone is used: it must be the larger.
+    crossover = teleport_module._PRUNE_CROSSOVER
+    assert PRUNE_EPS / math.sqrt(crossover) == pytest.approx(ORACLE_TOL, rel=1e-15)
+    assert PRUNE_EPS / math.sqrt(math.nextafter(crossover, 0.0)) >= ORACLE_TOL
 
 
 #: Inputs with single-branch success outcomes: the gapped resource of
