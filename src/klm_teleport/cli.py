@@ -21,7 +21,6 @@ work), 3 when an internal cross-check (oracle agreement) fails.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -37,11 +36,10 @@ from .correction import (
     extrema_formula,
     p_success_given_m,
 )
-from .fock import QubitAmplitudes
+from .fock import STATE_NORM_TOL, QubitAmplitudes
 from .optics import MAX_PHOTONS
 from .optimize import FailureConvention, maximize
 from .teleport import (
-    COEFF_NORM_TOL,
     ORACLE_LIMIT,
     ORACLE_TOL,
     RESOURCE_LIMIT,
@@ -149,10 +147,7 @@ def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected RE,IM, got {text!r}")
-    value = complex(float(parts[0]), float(parts[1]))
-    if not cmath.isfinite(value):
-        raise ValueError(f"amplitude must be finite, got {text!r}")
-    return value
+    return complex(float(parts[0]), float(parts[1]))
 
 
 def _count(name: str, value: int, low: int, high: int | None = None) -> int:
@@ -171,7 +166,7 @@ def _count(name: str, value: int, low: int, high: int | None = None) -> int:
 def _parse_inline(body: str, *, squared: bool, renormalize: bool) -> ResourceCoefficients:
     """Parse ``inline:`` values: amplitudes, or squared moduli with ``squared``.
 
-    Both are judged by their norm against ``COEFF_NORM_TOL``.  Squared moduli
+    Both are judged by their norm against ``STATE_NORM_TOL``.  Squared moduli
     are divided by their sum before the square root is taken.
     """
     entries = body.split(",")
@@ -181,8 +176,6 @@ def _parse_inline(body: str, *, squared: bool, renormalize: bool) -> ResourceCoe
         values = [float(v) for v in entries]
     except ValueError:
         raise ConfigError(f"bad inline coefficient list {body!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"inline coefficients must be finite, got {body!r}")
     if not squared:
         try:
             return normalize_coefficients(values, renormalize=renormalize)
@@ -194,7 +187,7 @@ def _parse_inline(body: str, *, squared: bool, renormalize: bool) -> ResourceCoe
         raise ConfigError(f"bad squared moduli {body!r}: {exc}") from None
     if total == 0.0:
         raise ConfigError("squared moduli cannot all be zero")
-    if abs(math.sqrt(total) - 1.0) > COEFF_NORM_TOL and not renormalize:
+    if abs(math.sqrt(total) - 1.0) > STATE_NORM_TOL and not renormalize:
         raise ConfigError(f"squared moduli sum to {total!r}; pass --renormalize to accept")
     return ResourceCoefficients.from_weights(v / total for v in values)
 
@@ -347,14 +340,13 @@ _OBJECTIVE_NAMES = {"success": "success", "avgfid": "avg_fidelity"}
 
 def cmd_optimize(args: argparse.Namespace) -> str:
     _count("--seed", args.seed, 0)
-    convention = FailureConvention(args.convention)
     try:
         report = maximize(
             _OBJECTIVE_NAMES[args.objective],
             args.n,
             seed=args.seed,
             restarts=args.restarts,
-            convention=convention,
+            convention=args.convention,
             mc_samples=args.samples,
         )
     except ValueError as exc:

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import QubitAmplitudes
+from .optics import require_unitary
 from .teleport import ResourceCoefficients, checked_weights
 
 
@@ -35,7 +36,8 @@ class PlateauError(ValueError):
 
 @dataclass(frozen=True)
 class KrausPair:
-    """Success/failure operation elements for outcome m, in the logical basis."""
+    """Success/failure operation elements for outcome m, in the logical basis;
+    stacked, their Gram product is the closure, held to ``optics.require_unitary``."""
 
     success: np.ndarray
     failure: np.ndarray
@@ -48,12 +50,7 @@ class KrausPair:
                 raise ValueError(f"{name} element must be 2x2, got {mat.shape}")
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
-        closure = (
-            self.success.conj().T @ self.success
-            + self.failure.conj().T @ self.failure
-        )
-        if np.max(np.abs(closure - np.eye(2))) > 1e-12:
-            raise ValueError("operation elements do not sum to the identity")
+        require_unitary(np.vstack([self.success, self.failure]))
 
 
 def kraus_for(m: int, rc: ResourceCoefficients) -> KrausPair:

@@ -28,7 +28,7 @@ PRUNE_EPS = 1e-15
 OUTCOME_EPS = 1e-15
 #: Tolerance for normalization invariants.
 NORM_TOL = 1e-12
-#: Deviation from unit norm that ``PureState.require_normalized`` accepts.
+#: Deviation from unit norm that an input state or coefficient vector may carry.
 STATE_NORM_TOL = 1e-9
 
 
@@ -65,8 +65,8 @@ def squared_norm(amplitudes: Iterable[complex], what: str) -> float:
     return _checked_fsum((abs(a) ** 2 for a in amplitudes), what)
 
 
-def _require_unit_norm(square: float) -> None:
-    """``ValueError`` unless a state's squared norm puts its norm within ``STATE_NORM_TOL`` of 1.
+def _require_unit_norm(square: float) -> float:
+    """``square`` back, or ``ValueError`` unless its root is within ``STATE_NORM_TOL`` of 1.
 
     The one normalization rule for states: ``PureState.require_normalized``
     and :func:`measure_photon_counts` apply it.
@@ -74,6 +74,7 @@ def _require_unit_norm(square: float) -> None:
     dev = abs(math.sqrt(square) - 1.0)
     if not dev <= STATE_NORM_TOL:
         raise ValueError(f"state is not normalized (|norm - 1| = {dev:.3e})")
+    return square
 
 
 def _significant(terms: Iterable[tuple[Occupation, complex]]) -> dict[Occupation, complex]:
@@ -149,8 +150,9 @@ class PureState:
     def norm(self) -> float:
         return math.sqrt(squared_norm(self.amplitudes.values(), "state"))
 
-    def require_normalized(self) -> None:
-        _require_unit_norm(squared_norm(self.amplitudes.values(), "state"))
+    def require_normalized(self) -> float:
+        """The squared norm, which :func:`_require_unit_norm` has accepted."""
+        return _require_unit_norm(squared_norm(self.amplitudes.values(), "state"))
 
 
 def tensor(left: PureState, right: PureState) -> PureState:

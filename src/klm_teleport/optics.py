@@ -41,8 +41,10 @@ import numpy as np
 
 from .fock import Occupation, PureState, _significant, checked_count
 
-#: Tolerance for the unitarity check on construction.
+#: Tolerance of the one unitarity rule, :func:`require_unitary`.
 UNITARY_TOL = 1e-12
+#: Most that ``apply``'s output norm may differ from its input's.
+DRIFT_TOL = 1e-10
 
 #: Most photons one term may hold in ``apply``.  The factorial table covers
 #: 0..MAX_PHOTONS, and since no mode can then hold 256 photons, one byte per
@@ -51,6 +53,18 @@ MAX_PHOTONS = 39
 _FACTORIAL = [math.factorial(i) for i in range(MAX_PHOTONS + 1)]
 #: Most photons ``transition_amplitude`` takes: its O(2^k k) permanent is ~0.3 s at k = 16.
 MAX_PERMANENT = 16
+
+
+def require_unitary(mat: np.ndarray) -> None:
+    """``ValueError`` unless mat^dag mat is the identity within ``UNITARY_TOL``."""
+    # Orthonormal columns have finite entries of modulus at most 1.  Any other
+    # entry is refused before the Gram product, which it could overflow; NaN
+    # fails the comparison.
+    if not np.abs(mat).max() <= 1.0 + UNITARY_TOL:
+        raise ValueError("matrix is not unitary: entries must be finite with modulus <= 1")
+    deviation = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
+    if not deviation <= UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")
 
 
 @dataclass(frozen=True)
@@ -63,17 +77,9 @@ class ModeUnitary:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"mode unitary must be square, got shape {mat.shape}")
-        dim = mat.shape[0]
-        if dim < 1:
+        if mat.shape[0] < 1:
             raise ValueError("mode unitary needs at least one mode")
-        # A unitary's entries are finite with modulus at most 1.  Any other is
-        # refused before the Gram product, which it could overflow; NaN fails
-        # the comparison.
-        if not np.abs(mat).max() <= 1.0 + UNITARY_TOL:
-            raise ValueError("matrix is not unitary: entries must be finite with modulus <= 1")
-        deviation = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
-        if not deviation <= UNITARY_TOL:
-            raise ValueError(f"matrix is not unitary (deviation {deviation:.3e})")
+        require_unitary(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -175,11 +181,12 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
     coefficient for every nonzero entry of column k; a monomial
     prod_l (a_l^dag)^{T_l} then contributes sqrt(prod T_l! / prod S_k!) to the
     amplitude of |T>.  Photon number is conserved; amplitudes below the
-    pruning threshold are dropped from the result.
+    pruning threshold are dropped from the result, and an output norm farther
+    than ``DRIFT_TOL`` from the input's own raises ``RuntimeError``.
 
     Bounds: ``u`` must fit the state, the state must be normalized (within
-    1e-9) and no source term may hold more than ``MAX_PHOTONS`` photons, or
-    ``ValueError`` is raised.
+    ``STATE_NORM_TOL``) and no source term may hold more than ``MAX_PHOTONS``
+    photons, or ``ValueError`` is raised.
     While expanding, a monomial is one integer with a byte per mode, mode 0
     most significant, so placing a photon in mode l adds 256^(modes-1-l); the
     photon bound keeps every byte below 256, and integer order is the
@@ -218,7 +225,7 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
     modes = state.mode_count
     if block > modes:
         raise ValueError(f"a {block}-mode unitary does not fit a {modes}-mode state")
-    state.require_normalized()
+    square = state.require_normalized()
     heaviest = max(map(sum, state.amplitudes))
     if heaviest > MAX_PHOTONS:
         raise ValueError(
@@ -260,8 +267,8 @@ def apply(u: ModeUnitary, state: PureState) -> PureState:
 
     terms = _significant(zip(map(occupations.__getitem__, out), out.values()))
     result = PureState._derived(modes, terms)
-    drift = abs(result.norm() - 1.0)
-    if drift > 1e-10:
+    drift = abs(result.norm() - math.sqrt(square))
+    if drift > DRIFT_TOL:
         raise RuntimeError(f"unitary application lost normalization (drift {drift:.3e})")
     return result
 

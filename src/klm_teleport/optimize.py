@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .correction import adjacent_minima_sum, classify_sequence
-from .fock import QubitAmplitudes
+from .fock import NORM_TOL, QubitAmplitudes
 from .teleport import (
     RESOURCE_LIMIT,
     OracleMismatchError,
@@ -67,7 +67,7 @@ class SimplexPoint:
 
     def __post_init__(self) -> None:
         ws = tuple(checked_weights(self.weights))
-        if abs(math.fsum(ws) - 1.0) > 1e-12:
+        if abs(math.fsum(ws) - 1.0) > NORM_TOL:
             raise ValueError("weights must sum to one")
         object.__setattr__(self, "weights", ws)
 
@@ -99,6 +99,7 @@ class FailureConvention(enum.Enum):
 
     COLLAPSE credits the overlap of the input with the logical state the
     failure collapses to; ZERO_FIDELITY scores failures as total loss.
+    Public functions take a member or its value: ``FailureConvention(convention)``.
     """
 
     COLLAPSE = "collapse"
@@ -107,7 +108,7 @@ class FailureConvention(enum.Enum):
 
 def avg_fidelity_closed_form(
     point: SimplexPoint,
-    convention: FailureConvention = FailureConvention.COLLAPSE,
+    convention: FailureConvention | str = FailureConvention.COLLAPSE,
 ) -> float:
     """Haar-averaged uncorrected teleportation fidelity.
 
@@ -115,6 +116,7 @@ def avg_fidelity_closed_form(
     over Haar inputs gives (2 + g)/3 under COLLAPSE and
     (2 - w_0 - w_n + g)/3 under ZERO_FIDELITY.
     """
+    convention = FailureConvention(convention)
     w = point.weights
     cross = math.fsum(math.sqrt(a * b) for a, b in zip(w, w[1:]))
     if convention is FailureConvention.COLLAPSE:
@@ -125,7 +127,7 @@ def avg_fidelity_closed_form(
 def average_fidelity_for_qubit(
     point: SimplexPoint,
     qubit: QubitAmplitudes,
-    convention: FailureConvention = FailureConvention.COLLAPSE,
+    convention: FailureConvention | str = FailureConvention.COLLAPSE,
 ) -> float:
     """Expected fidelity for one fixed input, outcome by outcome.
 
@@ -133,6 +135,7 @@ def average_fidelity_for_qubit(
     law, scores successes by conditional-state overlap and failures by the
     chosen convention, and weights by outcome probabilities.
     """
+    convention = FailureConvention(convention)
     outcomes = run_analytic(point.to_coefficients(), qubit)
     n = point.n
     total = 0.0
@@ -180,7 +183,7 @@ def objective_avg_fidelity(
     *,
     samples: int = 1_000_000,
     seed: int = 0,
-    convention: FailureConvention = FailureConvention.COLLAPSE,
+    convention: FailureConvention | str = FailureConvention.COLLAPSE,
 ) -> AvgFidelityEstimate:
     """Monte Carlo estimate of the Haar-averaged fidelity.
 
@@ -195,6 +198,7 @@ def objective_avg_fidelity(
     """
     samples = checked_count("samples", samples, 2)
     seed = checked_count("seed", seed, 0)
+    convention = FailureConvention(convention)
     closed = avg_fidelity_closed_form(point, convention)
     rng = np.random.default_rng(seed)
     sums: list[float] = []
@@ -507,7 +511,7 @@ def maximize(
     *,
     seed: int = 0,
     restarts: int = 32,
-    convention: FailureConvention = FailureConvention.COLLAPSE,
+    convention: FailureConvention | str = FailureConvention.COLLAPSE,
     mc_samples: int = 1_000_000,
 ) -> OptimizationReport:
     """Maximize an objective over the weight simplex for a size-n resource.
@@ -530,6 +534,7 @@ def maximize(
     restarts = checked_count("restarts", restarts)
     mc_samples = checked_count("mc_samples", mc_samples, 2)
     seed = checked_count("seed", seed, 0)
+    convention = FailureConvention(convention)
     if objective == "avg_fidelity":
         return _maximize_avg_fidelity(n, seed, convention, mc_samples)
 

@@ -36,6 +36,7 @@ from . import optics
 from .fock import Occupation, PureState, QubitAmplitudes, measure_photon_counts, tensor
 from .optics import ModeUnitary, apply, fourier_unitary
 from .teleport import (
+    NORM_TOL,
     OracleMismatchError,
     ResourceCoefficients,
     TeleportOutcome,
@@ -283,10 +284,13 @@ def correction_circuit(
     the product of these devices' slot unitaries, validated once as a single
     10-slot :class:`ModeUnitary` and applied once.  With no click, rails then
     carry the original qubit; the success probability is
-    min(|c_{m-1}|^2, |c_m|^2) / p(m).
+    min(|c_{m-1}|^2, |c_m|^2) / p(m).  Anything but one normalized photon on
+    one rail raises ``ValueError``; losing more than ``NORM_TOL`` of its
+    squared norm raises ``RuntimeError``.
     """
-    if teleported.spatial_modes != 1:
-        raise ValueError("teleported state must live on a single rail")
+    if teleported.spatial_modes != 1 or any(sum(occ) != 1 for occ in teleported.state.amplitudes):
+        raise ValueError("teleported state must be one photon on a single rail")
+    square = teleported.state.require_normalized()
     c_prev, c_here = rc.success_pair(m)
     weight_here = abs(c_here) ** 2
     weight_prev = abs(c_prev) ** 2
@@ -327,8 +331,8 @@ def correction_circuit(
     alpha_out = state.single_photon_amplitude(h_rail, HORIZONTAL)
     beta_out = state.single_photon_amplitude(v_rail, VERTICAL)
     p_success = abs(alpha_out) ** 2 + abs(beta_out) ** 2
-    leak = 1.0 - p_success - abs(detector_amplitude) ** 2
-    if abs(leak) > 1e-12:
+    leak = square - p_success - abs(detector_amplitude) ** 2
+    if abs(leak) > NORM_TOL:
         raise RuntimeError(f"circuit amplitude leaked outside the qubit arms ({leak:.3e})")
 
     recovered = None

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .fock import (
     NORM_TOL,
     PRUNE_EPS,
+    STATE_NORM_TOL,
     MeasurementOutcome,
     Occupation,
     PureState,
@@ -66,8 +67,6 @@ RESOURCE_LIMIT = 1_000
 ORACLE_TOL = 1e-10
 #: Pattern probability below which PRUNE_EPS / sqrt(p) is at least ``ORACLE_TOL``.
 _PRUNE_CROSSOVER = (PRUNE_EPS / ORACLE_TOL) ** 2
-#: Deviation from unit norm that coefficient input may carry without ``renormalize``.
-COEFF_NORM_TOL = 1e-9
 
 
 class OracleMismatchError(RuntimeError):
@@ -525,7 +524,7 @@ def normalize_coefficients(
 ) -> ResourceCoefficients:
     """Divide coefficients by their norm: the rule for inline amplitudes and files.
 
-    Deviations from unit norm up to ``COEFF_NORM_TOL`` are corrected silently
+    Deviations from unit norm up to ``STATE_NORM_TOL`` are corrected silently
     (the exact normalization the type requires); larger deviations are
     rejected unless ``renormalize`` is set.  A zero vector and a squared norm
     that overflows or falls below a normal float raise ``ValueError``.  The
@@ -539,7 +538,7 @@ def normalize_coefficients(
             raise ValueError("coefficient norm underflows a float")
         raise ValueError("coefficients cannot all be zero")
     nrm = math.sqrt(square)
-    if abs(nrm - 1.0) > COEFF_NORM_TOL and not renormalize:
+    if abs(nrm - 1.0) > STATE_NORM_TOL and not renormalize:
         raise ValueError(
             f"coefficients deviate from unit norm by {abs(nrm - 1.0):.3e}; "
             "pass renormalize to accept"

@@ -243,7 +243,7 @@ def test_failed_out_write_exits_two(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("excess, code", [(1.5e-9, 0), (3e-9, 2)])
 def test_squared_and_amplitude_input_share_one_norm_rule(capsys, excess, code):
-    # COEFF_NORM_TOL = 1e-9 bounds |norm - 1|, so squared moduli may sum to 1 + 2e-9.
+    # STATE_NORM_TOL = 1e-9 bounds |norm - 1|, so squared moduli may sum to 1 + 2e-9.
     weights = (0.5, 0.5 + excess)
     squared = "inline:" + ",".join(map(repr, weights))
     amplitudes = "inline:" + ",".join(repr(math.sqrt(w)) for w in weights)
@@ -323,6 +323,12 @@ def test_module_entry_point_runs():
         ["teleport", "--coeffs", "inline:-0.5,1.5", "--squared"],
         ["teleport", "--coeffs", "inline:0,0", "--squared", "--renormalize"],
         ["teleport", "--coeffs", "inline:0.5,0.6", "--squared"],  # not normalized
+        # Non-finite values reach the library's rules, which refuse them.
+        ["teleport", "--coeffs", "inline:1,nan", "--renormalize"],
+        ["teleport", "--coeffs", "inline:nan,1", "--squared"],
+        ["teleport", "--coeffs", "inline:-inf,1", "--squared", "--renormalize"],
+        ["teleport", "--n", "1", "--qubit", "1,nan+0,1"],
+        ["teleport", "--n", "1", "--qubit", "inf,0+1,0"],
     ],
 )
 def test_config_errors_exit_two(capsys, argv):

@@ -1,6 +1,7 @@
 """Kraus corrections, success probabilities, and the extrema counting formula."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,13 @@ def test_kraus_pair_demands_completeness():
     KrausPair(good, np.diag([0.0, math.sqrt(0.75)]).astype(complex), 1)
     with pytest.raises(ValueError, match="2x2"):
         KrausPair(np.eye(3), np.zeros((3, 3)), 1)
+    # The unitarity rule refuses a non-finite or oversized entry before the
+    # closure's product, so no numpy warning escapes either.
+    for bad in (math.nan, math.inf, 1e200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unitary"):
+                KrausPair(np.array([[bad, 0], [0, 1]]), np.zeros((2, 2)), 1)
 
 
 def test_kraus_frozen_values():

@@ -24,7 +24,9 @@ and any other function that states one must be allowed in
 ``COUNT_RULES_ALLOWED`` with the reason.  Last, it keeps the paired routes of
 ``ROUTE_PAIRS`` apart: over a conservative, name-based call graph of the
 package, the definitions both routes of a pair reach must all be shared input
-owners listed in ``SHARED_ALLOWED`` with the reason they are shared.
+owners listed in ``SHARED_ALLOWED`` with the reason they are shared.  It also
+fails on a tolerance written as a bare literal: a nonzero float below
+``TOLERANCE_LITERAL_BOUND`` in magnitude must be a named module-level constant.
 """
 
 import ast
@@ -486,6 +488,8 @@ SHARED_ALLOWED = {
     "n": "ResourceCoefficients.n and SimplexPoint.n, the resource size",
     "success_pair": "ResourceCoefficients.success_pair, the one rule for success outcomes",
     "FailureConvention": "the failure convention both fidelity routes are told to use",
+    "require_unitary": "the one unitarity rule (optics.py), which both correction routes' "
+    "matrices must pass; it computes neither route's answer",
 }
 
 
@@ -566,3 +570,64 @@ def test_checker_sees_routes_that_share_code():
             node.body.append(ast.parse("adjacent_minima_sum(weights)").body[0])
     violations, _ = _shared_route_code(trees.values(), ROUTE_PAIRS, SHARED_ALLOWED)
     assert violations == ["success probability: pairwise minima vs extrema: adjacent_minima_sum"]
+
+
+#: Float literals smaller than this in magnitude are tolerances, each stated
+#: once as a named module-level constant (``NAME = ...``) and read by name.
+TOLERANCE_LITERAL_BOUND = 1e-6
+
+
+def _names_a_constant(statement: ast.stmt) -> bool:
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return False
+    return all(isinstance(target, ast.Name) and target.id.isupper() for target in targets)
+
+
+def _tolerance_literals(tree: ast.Module) -> list[int]:
+    """Sorted lines of the nonzero float literals below ``TOLERANCE_LITERAL_BOUND``
+    in magnitude that no module-level constant assignment holds."""
+    named = {
+        id(node)
+        for statement in tree.body
+        if _names_a_constant(statement)
+        for node in ast.walk(statement)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0 < abs(node.value) < TOLERANCE_LITERAL_BOUND
+        and id(node) not in named
+    )
+
+
+def test_tolerances_are_named_constants():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _tolerance_literals(ast.parse(path.read_text()))
+    ]
+    assert not found, (
+        f"tolerance literals outside a named constant: {', '.join(found)}; "
+        "read the constant that owns the tolerance, or name a new one at module level"
+    )
+
+
+def test_checker_sees_a_tolerance_literal():
+    source = (
+        "TOL = 1e-9\n"
+        "_EPS: float = -1e-15\n"
+        "lower = 1e-12\n"
+        "def close(a, b):\n"
+        "    return abs(a - b) <= 1e-10 or a == 0.0 or b > 1e-6 or a < 1e-7j\n"
+        "class Box:\n"
+        "    LIMIT = 2e-7\n"
+        "PAIR, other = 3e-8, 4e-8\n"
+        "print(-5e-9, 7, 'tolerance 1e-9')\n"
+    )
+    assert _tolerance_literals(ast.parse(source)) == [3, 5, 7, 8, 8, 9]

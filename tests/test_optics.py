@@ -112,6 +112,28 @@ def _fresh_plans(monkeypatch, budget=None):
         monkeypatch.setattr(optics_module, "_PLAN_BUDGET", budget)
 
 
+def test_apply_keeps_the_input_norm():
+    # A norm within STATE_NORM_TOL of 1 is accepted, and the output is held
+    # to that norm, not to 1.
+    state = PureState(2, {(1, 0): 1 + 5e-10})
+    assert apply(fourier_unitary(2), state).norm() == pytest.approx(state.norm(), abs=1e-15)
+
+
+def test_apply_drift_check_fires(monkeypatch):
+    # Inflated output weights, as a wrong factorial ratio would give: the
+    # amplitudes stay finite, so only the drift check can see it.
+    _fresh_plans(monkeypatch)
+    outputs = optics_module._outputs
+
+    def inflated(codes, occ):
+        targets, weights = outputs(codes, occ)
+        return targets, [1.001 * w for w in weights]
+
+    monkeypatch.setattr(optics_module, "_outputs", inflated)
+    with pytest.raises(RuntimeError, match="lost normalization"):
+        apply(fourier_unitary(2), PureState.basis_state((1, 0)))
+
+
 def _plan_cases():
     """(unitary, state) pairs: both oracles' inputs, a correction circuit's
     slot unitary, two photons in one block mode, and spectators past the block."""

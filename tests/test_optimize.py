@@ -91,6 +91,38 @@ def test_avg_fidelity_closed_form_frozen():
     assert collapse - zero == pytest.approx((0.5 + 0.2) / 3, abs=1e-12)
 
 
+def test_conventions_are_taken_by_value():
+    point = SimplexPoint.uniform(2)
+    qubit = QubitAmplitudes(0.6, 0.8j)
+    assert avg_fidelity_closed_form(point, "collapse") == pytest.approx(8 / 9)
+    for convention in FailureConvention:
+        value = convention.value
+        assert avg_fidelity_closed_form(point, value) == avg_fidelity_closed_form(point, convention)
+        assert average_fidelity_for_qubit(point, qubit, value) == average_fidelity_for_qubit(
+            point, qubit, convention
+        )
+        assert objective_avg_fidelity(
+            point, samples=100, convention=value
+        ) == objective_avg_fidelity(point, samples=100, convention=convention)
+        assert maximize(
+            "avg_fidelity", 2, convention=value, mc_samples=100
+        ).as_dict() == maximize("avg_fidelity", 2, convention=convention, mc_samples=100).as_dict()
+
+
+@pytest.mark.parametrize("bad", ["bogus", "COLLAPSE", None, 0])
+def test_unknown_conventions_are_refused(bad):
+    point = SimplexPoint.uniform(2)
+    with pytest.raises(ValueError, match="FailureConvention"):
+        avg_fidelity_closed_form(point, bad)
+    with pytest.raises(ValueError, match="FailureConvention"):
+        average_fidelity_for_qubit(point, QubitAmplitudes(0.6, 0.8), bad)
+    with pytest.raises(ValueError, match="FailureConvention"):
+        objective_avg_fidelity(point, samples=100, convention=bad)
+    for objective in ("success", "avg_fidelity"):
+        with pytest.raises(ValueError, match="FailureConvention"):
+            maximize(objective, 2, convention=bad, mc_samples=100)
+
+
 def test_per_qubit_fidelity_routes_agree():
     # Dual route: the outcome-by-outcome protocol run against the vectorized
     # sampler expression, for both failure conventions.

@@ -345,6 +345,44 @@ def test_correction_circuit_validation():
         correction_circuit(3, gapped, good)
 
 
+@pytest.mark.parametrize(
+    "state",
+    [
+        PureState.basis_state((0, 0)),
+        PureState.basis_state((1, 1)),
+        PureState.basis_state((2, 0)),
+        PureState(2, {(0, 0): 0.6, (1, 0): 0.8}),
+    ],
+    ids=["vacuum", "two photons", "two horizontal photons", "vacuum plus one photon"],
+)
+def test_correction_circuit_refuses_anything_but_one_photon(state):
+    with pytest.raises(ValueError, match="one photon"):
+        correction_circuit(1, WORKED, PolarizedPhotonState(1, state))
+
+
+def test_correction_circuit_measures_its_leak_against_the_input():
+    # A teleported norm within STATE_NORM_TOL of 1 passes: the arms and the
+    # detector hold the input's own squared norm, not 1.
+    teleported = PolarizedPhotonState.single_photon(1, {0: (0.6, 0.8 * (1 + 1e-10))})
+    result = correction_circuit(1, ResourceCoefficients.from_weights([0.3, 0.7]), teleported)
+    held = result.p_success + abs(result.detector_amplitude) ** 2
+    assert held == pytest.approx(teleported.state.norm() ** 2, abs=1e-12)
+
+
+def test_correction_circuit_leak_check_fires(monkeypatch):
+    # Undo the splitter's last rotation.  Its matrix stays unitary, so only the
+    # leak check sees the detector read the wrong polarization.
+    compose = RotatedPBS._compose
+
+    def without_last_rotation(self, mat):
+        return polarization._rotator(compose(self, mat), self.transmit_mode, self.theta)
+
+    monkeypatch.setattr(RotatedPBS, "_compose", without_last_rotation)
+    rc = ResourceCoefficients.from_weights([0.2, 0.3, 0.5])
+    with pytest.raises(RuntimeError, match="leaked"):
+        correction_circuit(1, rc, teleported_state(rc, balanced(), 1))
+
+
 def test_correction_circuit_runs_the_engine_once(monkeypatch):
     engine = optics.apply
     calls = []
